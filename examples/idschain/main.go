@@ -1,7 +1,8 @@
 // IDS pipeline: the Figure 6 chain (Snort IDS followed by a Monitor)
 // on both platform models. Snort's payload inspection is a READ-class
 // state function and the Monitor's counting is IGNORE-class, so per
-// Table I the consolidated fast path runs them in parallel — while the
+// Table I the consolidated fast path charges them as one parallel
+// stage (max + fork/join, though they execute inline) — while the
 // IDS logs and per-flow counters stay byte-identical to the original
 // chain.
 package main

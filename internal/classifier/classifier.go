@@ -178,42 +178,6 @@ func (c *Classifier) Classify(pkt *packet.Packet, hasRule func(flow.FID) bool) (
 	return res, nil
 }
 
-// ClassifyData is the batched fast classification. It handles the
-// common case — a plain data packet (no SYN/FIN/RST) of an
-// established, already-tracked flow — with one flow-table lock
-// acquisition and no closure allocation, assigning the FID and
-// applying the per-packet bookkeeping. The Kind in the returned Result
-// is left undecided (zero): the batch engine resolves Subsequent
-// versus Initial against its rule cache, which replaces the hasRule
-// probe of the scalar path.
-//
-// For every other packet shape — unparseable, handshake, teardown,
-// untracked or not-yet-established flow — it reports ok=false without
-// mutating the flow table or consuming a logical-clock tick, and the
-// caller routes the packet through the full Classify state machine.
-func (c *Classifier) ClassifyData(pkt *packet.Packet) (Result, bool) {
-	if !pkt.Parsed() {
-		if err := pkt.Parse(); err != nil {
-			return Result{}, false // full Classify reproduces the error
-		}
-	}
-	ft, err := pkt.FiveTuple()
-	if err != nil {
-		return Result{}, false
-	}
-	if flags, isTCP := pkt.TCPFlags(); isTCP &&
-		flags&(packet.TCPFlagSYN|packet.TCPFlagFIN|packet.TCPFlagRST) != 0 {
-		return Result{}, false
-	}
-	entry, ok := c.flows.TouchEstablished(ft, uint64(pkt.Len()), &c.seq)
-	if !ok {
-		return Result{}, false
-	}
-	pkt.Meta.FID = uint32(entry.FID)
-	pkt.Meta.HasFID = true
-	return Result{FID: entry.FID}, true
-}
-
 // Teardown removes the flow from the flow table after FIN/RST
 // processing; the engine also deletes the MAT rules.
 func (c *Classifier) Teardown(fid flow.FID) bool {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/fastpathnfv/speedybox/internal/classifier"
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -166,7 +164,7 @@ func (sl *flowSlot) flush() {
 // classify and process loops each stream through contiguous memory),
 // and the counter-fold buffers. A Batch must not be shared between
 // goroutines (each MultiQueue worker, and the ONVM manager, owns one);
-// results returned by ProcessBatch and FastProcessBatch point into the
+// results returned by ProcessBatch point into the
 // Batch's storage and are valid only until the next call on the same
 // Batch.
 type Batch struct {
@@ -557,34 +555,4 @@ func (e *Engine) processClassified(fid flow.FID, pkt *packet.Packet, info *FastP
 	r.Kind = classifier.KindInitial
 	b.account(e, r)
 	return r, nil
-}
-
-// FastProcessBatch runs the consolidated fast path over a vector of
-// pre-classified subsequent packets (fids[i] identifies pkts[i]),
-// writing results into the Batch's preallocated storage and serving
-// rule and event lookups from its cache — one locked Global MAT lookup
-// per unique (or invalidated) flow per batch instead of one per
-// packet. It is the batched FastProcess: exposed for callers that
-// classify and dispatch fast-path packets themselves.
-// Like FastProcess, it does not account the results; the platform
-// does, once per packet, when it assembles its measurements. Packets
-// whose rule vanished mid-batch transparently traverse the slow path,
-// exactly as FastProcess would.
-func (e *Engine) FastProcessBatch(fids []flow.FID, pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
-	if len(fids) != len(pkts) {
-		return nil, fmt.Errorf("core: FastProcessBatch: %d fids for %d packets", len(fids), len(pkts))
-	}
-	b.begin(len(pkts))
-	out := b.out
-	for i, pkt := range pkts {
-		res, err := e.fastPathInto(fids[i], pkt, &b.info[i], &b.res[i], &b.cache)
-		if err != nil {
-			return nil, err
-		}
-		res.FID = fids[i]
-		res.Kind = classifier.KindSubsequent
-		out = append(out, res)
-	}
-	b.out = out
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/classifier"
@@ -302,17 +301,6 @@ func TestProcessBatchFaultedMatchesScalar(t *testing.T) {
 	}
 	if b.FastPath != 0 {
 		t.Errorf("fast-path packets = %d with every rule evicted, want 0", b.FastPath)
-	}
-}
-
-// TestFastProcessBatchLengthMismatch: the pre-classified entry point
-// rejects mismatched fid/packet vectors.
-func TestFastProcessBatchLengthMismatch(t *testing.T) {
-	eng := newBatchTestEngine(t, DefaultOptions())
-	b := NewBatch(4)
-	_, err := eng.FastProcessBatch(nil, []*packet.Packet{udpPkt(t, 8601, "x")}, b)
-	if err == nil || !strings.Contains(err.Error(), "0 fids for 1 packets") {
-		t.Fatalf("err = %v, want length-mismatch error", err)
 	}
 }
 

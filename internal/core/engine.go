@@ -935,16 +935,11 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 	return res, nil
 }
 
-// fireEvents probes the Event Table for the flow, applies any updates
-// to the owning Local MATs and reconsolidates. It returns whether
-// anything fired.
-func (e *Engine) fireEvents(fid flow.FID, info *FastPathInfo) (bool, error) {
-	return e.fireEventsCached(fid, info, nil)
-}
-
-// fireEventsCached is fireEvents with an optional per-worker cache: a
-// flow known to have no registered events (verdict validated against
-// the Event Table's registration generation) skips the locked probe
+// fireEventsCached probes the Event Table for the flow, applies any
+// updates to the owning Local MATs and reconsolidates. It returns
+// whether anything fired. rc is an optional per-worker cache: a flow
+// known to have no registered events (verdict validated against the
+// Event Table's registration generation) skips the locked probe
 // entirely. The verdict can only be invalidated by Register, which
 // advances the generation; firings and removals merely shrink the
 // event set, which the cache handles conservatively by keeping probing

@@ -111,8 +111,9 @@ type Model struct {
 	// consolidation costs after the initial packet finishes the chain.
 	ConsolidateBase  uint64
 	ConsolidatePerNF uint64
-	// ForkJoin is the per-parallel-stage dispatch/join overhead of the
-	// state-function parallel executor (§V-C2).
+	// ForkJoin is the per-parallel-stage dispatch/join overhead charged
+	// to a Table-I parallel state-function stage (§V-C2). The stage's
+	// batches execute inline; the overhead is modeled, not incurred.
 	ForkJoin uint64
 
 	// ---- BESS platform constants (run-to-completion, §VI-A) ----

@@ -214,21 +214,6 @@ func (h Handle) Established() bool {
 	return State(h.e.state.Load()) == StateEstablished
 }
 
-// TouchEstablished applies the established-data-packet bookkeeping
-// through the handle: if the flow is established it counts the packet
-// and bytes and stamps LastSeen from a fresh clock tick, returning
-// true. Any other state returns false with flow and clock untouched.
-func (h Handle) TouchEstablished(bytes uint64, clock *atomic.Uint64) bool {
-	e := h.e
-	if State(e.state.Load()) != StateEstablished {
-		return false
-	}
-	e.packets.Add(1)
-	e.bytes.Add(bytes)
-	e.lastSeen.Store(clock.Add(1))
-	return true
-}
-
 // FoldTouches folds a batch's accumulated bookkeeping for the flow in
 // three atomic operations: pkts packets, bytes bytes, and the logical
 // timestamp of the flow's last packet in the batch. The caller (one
@@ -338,27 +323,6 @@ func (t *Table) Acquire(ft packet.FiveTuple) (Handle, bool) {
 		return Handle{}, false
 	}
 	return Handle{e}, true
-}
-
-// TouchEstablished is the scalar form of the batched classifier's
-// hot-path update: if the tuple is tracked and the flow is
-// established, it applies the data-packet bookkeeping (packet and
-// byte counts, LastSeen stamped from a fresh tick of clock) and
-// returns a snapshot. Any other state (handshake, closed, untracked)
-// returns ok=false with the table and the clock untouched, and the
-// caller falls back to the full classifier state machine, which ticks
-// the clock itself — so every classified packet consumes exactly one
-// tick on either path. Only the shard read lock is taken (map
-// structure); the bookkeeping itself is atomic per field.
-func (t *Table) TouchEstablished(ft packet.FiveTuple, bytes uint64, clock *atomic.Uint64) (Entry, bool) {
-	s := t.shardFor(HashTuple(ft))
-	s.mu.RLock()
-	e, ok := s.byTuple[ft]
-	s.mu.RUnlock()
-	if !ok || !(Handle{e}).TouchEstablished(bytes, clock) {
-		return Entry{}, false
-	}
-	return e.snapshot(), true
 }
 
 // LookupFID returns a snapshot of the entry for a FID, if tracked.

@@ -288,10 +288,6 @@ const cacheLine = 64
 // generation-valid cached rule is never staler than the table.
 type Global struct {
 	shards [ShardCount]globalShard
-	// publishes counts snapshot publications (copy-on-write table
-	// swaps), one per successful mutation — the control-plane write
-	// amplification the lock-free read path is bought with.
-	publishes atomic.Uint64
 	// gen counts table mutations that can change what LookupLive
 	// returns (Install, Remove, MarkStale — bumped under the owning
 	// shard's lock). Batch workers cache rule pointers keyed by this
@@ -378,14 +374,8 @@ func (g *Global) shardFor(fid flow.FID) *globalShard {
 // snapshot. The caller holds the shard mutex.
 func (g *Global) publish(s *globalShard, t *ruleTable) {
 	s.table.Store(t)
-	g.publishes.Add(1)
 	g.gen.Add(1)
 }
-
-// Publishes returns the number of copy-on-write snapshot publications
-// since the table was created — the write-side cost of lock-free
-// reads, for telemetry and capacity planning.
-func (g *Global) Publishes() uint64 { return g.publishes.Load() }
 
 // Install inserts or replaces the rule for a flow, reporting whether
 // an existing rule was replaced (telemetry distinguishes first-time

@@ -141,9 +141,6 @@ func (f *Filter) FlowClosed(fid flow.FID) {
 	}
 }
 
-// NumRules returns the ACL length.
-func (f *Filter) NumRules() int { return len(f.rules) }
-
 // Stats returns a snapshot of the decision counters.
 func (f *Filter) Stats() Stats {
 	f.mu.Lock()

@@ -48,7 +48,7 @@ type ExtraHeader struct {
 
 // EncapAH inserts an authentication header between the IPv4 header and
 // whatever follows it, updating the IP protocol chain and total
-// length. The packet is re-parsed on success.
+// length. The packet is re-parsed on success and unchanged on error.
 func (p *Packet) EncapAH(spi, seq uint32) error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -63,15 +63,15 @@ func (p *Packet) EncapAH(spi, seq uint32) error {
 	binary.BigEndian.PutUint32(ah[4:8], spi)
 	binary.BigEndian.PutUint32(ah[8:12], seq)
 
-	p.data = insertBytes(p.data, insertAt, ah)
-	p.data[ip+9] = ProtoAH
-	totLen := binary.BigEndian.Uint16(p.data[ip+2 : ip+4])
-	binary.BigEndian.PutUint16(p.data[ip+2:ip+4], totLen+AHHeaderLen)
-	return p.Parse()
+	out := insertBytes(p.data, insertAt, ah)
+	out[ip+9] = ProtoAH
+	totLen := binary.BigEndian.Uint16(out[ip+2 : ip+4])
+	binary.BigEndian.PutUint16(out[ip+2:ip+4], totLen+AHHeaderLen)
+	return p.commit(out)
 }
 
 // DecapAH removes the outermost authentication header. It returns
-// ErrNoHeader if the packet has none.
+// ErrNoHeader if the packet has none. On error the packet is unchanged.
 func (p *Packet) DecapAH() error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -82,14 +82,15 @@ func (p *Packet) DecapAH() error {
 	ip := p.hdr.IPOff
 	ahOff := ip + IPv4HeaderLen
 	inner := p.data[ahOff] // next-header field
-	p.data = removeBytes(p.data, ahOff, AHHeaderLen)
-	p.data[ip+9] = inner
-	totLen := binary.BigEndian.Uint16(p.data[ip+2 : ip+4])
-	binary.BigEndian.PutUint16(p.data[ip+2:ip+4], totLen-AHHeaderLen)
-	return p.Parse()
+	out := removeBytes(p.data, ahOff, AHHeaderLen)
+	out[ip+9] = inner
+	totLen := binary.BigEndian.Uint16(out[ip+2 : ip+4])
+	binary.BigEndian.PutUint16(out[ip+2:ip+4], totLen-AHHeaderLen)
+	return p.commit(out)
 }
 
-// EncapVLAN pushes an 802.1Q tag directly after the MAC addresses.
+// EncapVLAN pushes an 802.1Q tag directly after the MAC addresses. On
+// error the packet is unchanged.
 func (p *Packet) EncapVLAN(tag uint16) error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -99,11 +100,11 @@ func (p *Packet) EncapVLAN(tag uint16) error {
 	binary.BigEndian.PutUint16(vlan[2:4], tag&0x0fff)
 	// The tag occupies the former EtherType position; the original
 	// EtherType (and any existing tags) shift right by 4 bytes.
-	p.data = insertBytes(p.data, 12, vlan)
-	return p.Parse()
+	return p.commit(insertBytes(p.data, 12, vlan))
 }
 
-// DecapVLAN pops the outermost 802.1Q tag.
+// DecapVLAN pops the outermost 802.1Q tag. On error the packet is
+// unchanged.
 func (p *Packet) DecapVLAN() error {
 	if !p.parsed {
 		return ErrNotParsed
@@ -111,11 +112,11 @@ func (p *Packet) DecapVLAN() error {
 	if p.hdr.VLANs == 0 {
 		return fmt.Errorf("%w: VLAN", ErrNoHeader)
 	}
-	p.data = removeBytes(p.data, 12, VLANTagLen)
-	return p.Parse()
+	return p.commit(removeBytes(p.data, 12, VLANTagLen))
 }
 
-// Encap applies an ExtraHeader description, dispatching on type.
+// Encap applies an ExtraHeader description, dispatching on type. On
+// error the packet is unchanged.
 func (p *Packet) Encap(h ExtraHeader) error {
 	switch h.Type {
 	case HeaderAH:
@@ -127,7 +128,8 @@ func (p *Packet) Encap(h ExtraHeader) error {
 	}
 }
 
-// Decap removes the outermost header of the given type.
+// Decap removes the outermost header of the given type. On error the
+// packet is unchanged.
 func (p *Packet) Decap(t HeaderType) error {
 	switch t {
 	case HeaderAH:
@@ -156,6 +158,18 @@ func (p *Packet) OutermostAH() (spi, seq uint32, ok bool) {
 	off := p.hdr.IPOff + IPv4HeaderLen
 	return binary.BigEndian.Uint32(p.data[off+4 : off+8]),
 		binary.BigEndian.Uint32(p.data[off+8 : off+12]), true
+}
+
+// commit installs out, a rewritten copy of the frame, if it parses.
+// On error the packet keeps its old frame and parse state, so header
+// mutators never leave offsets that disagree with the buffer.
+func (p *Packet) commit(out []byte) error {
+	next := Packet{data: out}
+	if err := next.Parse(); err != nil {
+		return err
+	}
+	p.data, p.hdr = next.data, next.hdr
+	return nil
 }
 
 func insertBytes(data []byte, at int, ins []byte) []byte {

@@ -113,7 +113,8 @@ func (p *Packet) Get(f Field) ([]byte, error) {
 // Set overwrites a header field. The value length must equal the field
 // size. Checksums are NOT recomputed; callers batch modifications and
 // call FinalizeChecksums once, matching the paper's consolidation of
-// trailer fields at the end (§V-B).
+// trailer fields at the end (§V-B). Set validates before it writes, so
+// on error the packet is unchanged.
 func (p *Packet) Set(f Field, value []byte) error {
 	if len(value) != f.Size() {
 		return fmt.Errorf("packet: field %v needs %d bytes, got %d", f, f.Size(), len(value))
@@ -190,6 +191,3 @@ func PutUint32(v uint32) []byte {
 	binary.BigEndian.PutUint32(b, v)
 	return b
 }
-
-// IPBytes converts a [4]byte address to a slice for use with Set.
-func IPBytes(ip [4]byte) []byte { return []byte{ip[0], ip[1], ip[2], ip[3]} }

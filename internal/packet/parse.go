@@ -87,6 +87,10 @@ func (p *Packet) Parse() error {
 	default:
 		return fmt.Errorf("%w: ip protocol %d", ErrUnsupported, proto)
 	}
+	if h.PayloadOff > h.IPOff+totLen {
+		return fmt.Errorf("%w: ip total length %d shorter than its %d header bytes",
+			ErrTruncated, totLen, h.PayloadOff-h.IPOff)
+	}
 
 	p.hdr = h
 	p.parsed = true

@@ -3,18 +3,16 @@ package sfunc
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/fastpathnfv/speedybox/internal/packet"
 )
 
 // Schedule is an execution plan for a flow's state-function batches: a
-// sequence of stages, each holding the indices of batches that run
-// concurrently. Stages execute in order; batches inside a stage run in
-// parallel.
+// sequence of stages, each holding the indices of batches that Table I
+// allows to run concurrently. Stages execute in order; batches inside a
+// stage are charged as parallel (see Execute).
 type Schedule struct {
-	// Stages holds batch indices grouped by concurrent stage.
+	// Stages holds batch indices grouped by parallel stage.
 	Stages [][]int
 }
 
@@ -76,114 +74,66 @@ func (s Schedule) String() string {
 	return strings.Join(parts, " ")
 }
 
-// StageResult reports one executed stage's cost decomposition. It
-// carries only the aggregates the platform formulas consume — per-batch
-// detail would cost a map allocation per stage on the per-packet fast
-// path.
-type StageResult struct {
-	// CriticalCycles is the stage's latency contribution: the maximum
-	// batch cost (plus the caller's fork/join overhead for parallel
-	// stages).
-	CriticalCycles uint64
-	// TotalCycles is the stage's aggregate work.
-	TotalCycles uint64
-	// Parallel reports whether the stage ran more than one batch.
-	Parallel bool
-}
-
-// ExecResult aggregates an executed schedule.
+// ExecResult aggregates an executed schedule. It carries only the
+// aggregates the platform formulas consume, so the per-packet fast path
+// allocates nothing for it.
 type ExecResult struct {
-	Stages []StageResult
-	// CriticalCycles is the latency-relevant sum over stages.
+	// Stages is the number of stages that ran.
+	Stages int
+	// MaxStageCritical is the largest single stage's critical path: the
+	// busiest worker core's per-packet cost.
+	MaxStageCritical uint64
+	// CriticalCycles is the latency-relevant sum over stages: a
+	// parallel stage contributes its most expensive batch plus the
+	// caller's fork/join overhead, a single-batch stage its batch.
 	CriticalCycles uint64
-	// TotalCycles is the aggregate work over all batches.
+	// TotalCycles is the aggregate work over all batches, fork/join
+	// included.
 	TotalCycles uint64
 }
 
-// stageExec is one parallel stage's shared coordination state. It is
-// pooled: the fast path runs Execute per packet, and allocating the
-// mutex/waitgroup/accumulators fresh each time (as captured closure
-// variables) showed up as the top allocation site in profiles.
-type stageExec struct {
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	next    atomic.Int64
-	batches []Batch
-	stage   []int
-	pkt     *packet.Packet
-	// critical, total and err accumulate under mu.
-	critical uint64
-	total    uint64
-	err      error
-}
-
-var stageExecPool = sync.Pool{New: func() any { return new(stageExec) }}
-
-// run is one worker goroutine: it claims batch slots off the shared
-// counter until the stage is drained.
-func (se *stageExec) run() {
-	defer se.wg.Done()
-	for {
-		i := int(se.next.Add(1)) - 1
-		if i >= len(se.stage) {
-			return
-		}
-		c, err := se.batches[se.stage[i]].RunSequential(se.pkt)
-		se.mu.Lock()
-		se.total += c
-		if c > se.critical {
-			se.critical = c
-		}
-		if err != nil && se.err == nil {
-			se.err = err
-		}
-		se.mu.Unlock()
+// addStage folds one executed stage into the result.
+func (r *ExecResult) addStage(critical, total uint64) {
+	r.Stages++
+	if critical > r.MaxStageCritical {
+		r.MaxStageCritical = critical
 	}
+	r.CriticalCycles += critical
+	r.TotalCycles += total
 }
 
-// Execute runs the schedule on pkt. Batches within a stage genuinely
-// run on separate goroutines — the Table-I discipline guarantees a
-// writer is never co-scheduled with a reader or another writer, so
-// sharing the packet is safe. forkJoin is the per-parallel-stage
-// dispatch/join overhead added to the stage's critical path.
+// Execute runs the schedule on pkt. Every batch runs inline on the
+// calling goroutine, stage by stage in chain order; the parallelism of
+// §V-C2 is charged rather than executed. A stage of more than one
+// batch costs its most expensive batch plus forkJoin on the critical
+// path, and the sum of its batches plus forkJoin in total work — the
+// Table-I discipline is what makes that charge sound, since the
+// co-scheduled batches have no data dependencies on each other.
 //
 // Execution is fail-fast across stages: if any batch in a stage
 // errors, later stages do not run, mirroring an NF chain aborting on a
-// processing error. All batches within the already-running stage are
-// allowed to finish (their goroutines are always joined).
+// processing error. Every batch of the failing stage still runs, and
+// the first error in chain order is returned.
 func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) (ExecResult, error) {
 	var res ExecResult
-	if len(s.Stages) > 0 {
-		res.Stages = make([]StageResult, 0, len(s.Stages))
-	}
 	for _, stage := range s.Stages {
-		var sr StageResult
+		var critical, total uint64
 		var firstErr error
-		if len(stage) == 1 {
-			c, err := batches[stage[0]].RunSequential(pkt)
-			sr.CriticalCycles = c
-			sr.TotalCycles = c
-			firstErr = err
-		} else {
-			sr.Parallel = true
-			se := stageExecPool.Get().(*stageExec)
-			se.batches, se.stage, se.pkt = batches, stage, pkt
-			se.critical, se.total, se.err = 0, 0, nil
-			se.next.Store(0)
-			se.wg.Add(len(stage))
-			for range stage {
-				go se.run()
+		for _, bi := range stage {
+			c, err := batches[bi].RunSequential(pkt)
+			total += c
+			if c > critical {
+				critical = c
 			}
-			se.wg.Wait()
-			sr.CriticalCycles = se.critical + forkJoin
-			sr.TotalCycles = se.total + forkJoin
-			firstErr = se.err
-			se.batches, se.stage, se.pkt, se.err = nil, nil, nil, nil
-			stageExecPool.Put(se)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		res.Stages = append(res.Stages, sr)
-		res.CriticalCycles += sr.CriticalCycles
-		res.TotalCycles += sr.TotalCycles
+		if len(stage) > 1 {
+			critical += forkJoin
+			total += forkJoin
+		}
+		res.addStage(critical, total)
 		if firstErr != nil {
 			return res, firstErr
 		}
@@ -195,21 +145,12 @@ func (s Schedule) Execute(batches []Batch, pkt *packet.Packet, forkJoin uint64) 
 // parallelism, for the original-path and ablation (HA-only) modes.
 func ExecuteSequential(batches []Batch, pkt *packet.Packet) (ExecResult, error) {
 	var res ExecResult
-	if len(batches) > 0 {
-		res.Stages = make([]StageResult, 0, len(batches))
-	}
 	for _, b := range batches {
 		if b.Empty() {
 			continue
 		}
 		c, err := b.RunSequential(pkt)
-		sr := StageResult{
-			CriticalCycles: c,
-			TotalCycles:    c,
-		}
-		res.Stages = append(res.Stages, sr)
-		res.CriticalCycles += c
-		res.TotalCycles += c
+		res.addStage(c, c)
 		if err != nil {
 			return res, err
 		}

@@ -1,13 +1,13 @@
 // Package sfunc implements SpeedyBox's state-function abstraction
-// (paper §IV-A2) and the parallel batch executor (§V-C2).
+// (paper §IV-A2) and the parallel batch schedule (§V-C2).
 //
 // A state function is an NF-provided callback that updates NF internal
 // state and/or inspects the packet payload. All state functions an NF
 // records for one flow form a batch; batches execute in chain order,
 // and functions within a batch execute in recording order, preserving
-// the NF's code dependencies (§IV-B). Batches from different NFs may
-// execute in parallel when the payload-dependency analysis of Table I
-// allows it.
+// the NF's code dependencies (§IV-B). Batches from different NFs are
+// planned and charged as parallel when the payload-dependency analysis
+// of Table I allows it; they execute inline, in chain order.
 package sfunc
 
 import (
@@ -70,7 +70,8 @@ func (c PayloadClass) priority() int {
 // and return the work cycles consumed, which the executor charges to
 // the owning NF's stage. Handlers must honour their declared
 // PayloadClass: a ClassRead handler must not modify the payload. The
-// parallel executor relies on that contract for memory safety.
+// parallel charge of a stage relies on that contract: co-scheduled
+// batches must not depend on each other's payload writes.
 type Handler func(pkt *packet.Packet) (cycles uint64, err error)
 
 // Func is one recorded state function: the handler plus the metadata

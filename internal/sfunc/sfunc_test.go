@@ -2,7 +2,8 @@ package sfunc
 
 import (
 	"errors"
-	"sync/atomic"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,23 @@ func TestExecuteCriticalPath(t *testing.T) {
 	}
 }
 
+func TestExecuteAllocFree(t *testing.T) {
+	// The fast path runs an executor per packet with state functions;
+	// its result must not cost an allocation.
+	batches := []Batch{
+		{NF: "a", Funcs: []Func{costed("fa", ClassRead, 300)}},
+		{NF: "b", Funcs: []Func{costed("fb", ClassRead, 500)}},
+		{NF: "c", Funcs: []Func{costed("fc", ClassWrite, 200)}},
+	}
+	plan, pkt := Plan(batches), testPacket(t)
+	if n := testing.AllocsPerRun(100, func() { _, _ = plan.Execute(batches, pkt, 100) }); n != 0 {
+		t.Errorf("Execute allocs = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ExecuteSequential(batches, pkt) }); n != 0 {
+		t.Errorf("ExecuteSequential allocs = %v, want 0", n)
+	}
+}
+
 func TestExecuteSequentialStage(t *testing.T) {
 	// A single-batch stage pays no fork/join.
 	batches := []Batch{{NF: "a", Funcs: []Func{costed("fa", ClassWrite, 300)}},
@@ -211,40 +229,68 @@ func TestExecuteSequentialStage(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelActuallyConcurrent(t *testing.T) {
-	// Verify real goroutine concurrency: two batches rendezvous via a
-	// channel; sequential execution would deadlock-timeout.
-	meet := make(chan struct{})
-	mk := func(name string) Batch {
-		return Batch{NF: name, Funcs: []Func{{Name: "sync", Class: ClassRead,
+// goroutineID returns the calling goroutine's id from the header line
+// of its stack trace ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestExecuteParallelStageInline(t *testing.T) {
+	// Four read batches fuse into one parallel stage; the two in the
+	// middle fail. The stage still runs all four, in chain order, on
+	// the caller's goroutine, reports the parallel charge, returns the
+	// chain-order first error, and stops the later write stage.
+	errB, errC := errors.New("b failed"), errors.New("c failed")
+	caller := goroutineID()
+	var order []string
+	mk := func(name string, class PayloadClass, cycles uint64, err error) Batch {
+		return Batch{NF: name, Funcs: []Func{{Name: "f", Class: class,
 			Run: func(*packet.Packet) (uint64, error) {
-				select {
-				case meet <- struct{}{}:
-				case <-meet:
+				if id := goroutineID(); id != caller {
+					t.Errorf("batch %s ran on goroutine %s, want caller %s", name, id, caller)
 				}
-				return 1, nil
+				order = append(order, name)
+				return cycles, err
 			}}}}
 	}
-	batches := []Batch{mk("a"), mk("b")}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Plan(batches).Execute(batches, testPacket(t), 0)
-		done <- err
-	}()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	batches := []Batch{
+		mk("a", ClassRead, 300, nil),
+		mk("b", ClassRead, 500, errB),
+		mk("c", ClassRead, 200, errC),
+		mk("d", ClassRead, 100, nil),
+		mk("e", ClassWrite, 1000, nil),
+	}
+	plan := Plan(batches)
+	if len(plan.Stages) != 2 || len(plan.Stages[0]) != 4 {
+		t.Fatalf("plan = %v, want [0 1 2 3] [4]", plan)
+	}
+	res, err := plan.Execute(batches, testPacket(t), 100)
+	if !errors.Is(err, errB) || errors.Is(err, errC) {
+		t.Errorf("err = %v, want b's error (first in chain order)", err)
+	}
+	if got := strings.Join(order, ""); got != "abcd" {
+		t.Errorf("ran %q, want abcd: every stage-mate runs, later stages do not", got)
+	}
+	if res.Stages != 1 || res.CriticalCycles != 600 || res.MaxStageCritical != 600 {
+		t.Errorf("stages=%d critical=%d maxStage=%d, want 1/600/600 (max 500 + forkJoin 100)",
+			res.Stages, res.CriticalCycles, res.MaxStageCritical)
+	}
+	if res.TotalCycles != 1200 {
+		t.Errorf("TotalCycles = %d, want 1200 (sum 1100 + forkJoin 100)", res.TotalCycles)
 	}
 }
 
 func TestExecuteErrorFailFast(t *testing.T) {
 	boom := errors.New("boom")
-	var ran atomic.Int32
+	ran := 0
 	batches := []Batch{
 		{NF: "a", Funcs: []Func{{Name: "fail", Class: ClassWrite, Run: func(*packet.Packet) (uint64, error) {
 			return 10, boom
 		}}}},
 		{NF: "b", Funcs: []Func{{Name: "later", Class: ClassWrite, Run: func(*packet.Packet) (uint64, error) {
-			ran.Add(1)
+			ran++
 			return 10, nil
 		}}}},
 	}
@@ -255,7 +301,7 @@ func TestExecuteErrorFailFast(t *testing.T) {
 	if !errors.Is(err, ErrBatchFailed) {
 		t.Errorf("err = %v, want ErrBatchFailed in chain", err)
 	}
-	if ran.Load() != 0 {
+	if ran != 0 {
 		t.Error("later stage ran after earlier stage failed")
 	}
 }
@@ -294,8 +340,8 @@ func TestExecuteSequentialHelper(t *testing.T) {
 	if res.CriticalCycles != 800 || res.TotalCycles != 800 {
 		t.Errorf("critical=%d total=%d, want 800/800", res.CriticalCycles, res.TotalCycles)
 	}
-	if len(res.Stages) != 2 {
-		t.Errorf("stages = %d, want 2 (empty batch skipped)", len(res.Stages))
+	if res.Stages != 2 || res.MaxStageCritical != 500 {
+		t.Errorf("stages=%d maxStage=%d, want 2/500 (empty batch skipped)", res.Stages, res.MaxStageCritical)
 	}
 }
 

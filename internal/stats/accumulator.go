@@ -62,10 +62,6 @@ func scaleSample(x float64) uint64 {
 	return uint64(scaled)
 }
 
-// AddCycles folds in a uint64 cycle sample (the common case for
-// platform measurements) without an intermediate slice.
-func (a *Accumulator) AddCycles(v uint64) { a.Add(float64(v)) }
-
 // Merge combines another accumulator into this one (parallel workers
 // accumulate privately, then fold). The other accumulator is not
 // modified.
