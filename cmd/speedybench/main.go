@@ -13,12 +13,13 @@
 // applies that many live chain reconfigurations per schedule, to both
 // engines at the same packet indices, and -oracle-crashes kills and
 // restores the fast engine from checkpoint+WAL at that many seeded
-// packet indices per schedule. The reconfig experiment inserts a
-// gateway NF mid-trace and exits nonzero unless the run drops nothing
-// and the fast-path hit rate recovers to >=90% of its pre-change
-// baseline; the restart experiment kills the whole engine mid-trace
-// and holds the restored replacement to the same 90% bar against a
-// cold-start control.
+// packet indices per schedule. -oracle-topo or -oracle-cluster (not
+// both) runs the same oracle on a multi-chain topology or on an engine
+// cluster. The reconfig experiment inserts a gateway NF mid-trace and
+// exits nonzero unless the run drops nothing and the fast-path hit
+// rate recovers to >=90% of its pre-change baseline; the restart
+// experiment kills the whole engine mid-trace and holds the restored
+// replacement to the same 90% bar against a cold-start control.
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 type formatter interface{ Format() string }
 
 // experiments enumerates the runnable experiments in paper order.
-func experiments(cfg harness.Config, oracleSchedules, oracleReconfigs, oracleCrashes int, oracleTopo, oracleCluster bool) []struct {
+func experiments(cfg harness.Config, oracleSchedules, oracleReconfigs, oracleCrashes int, oracleSystem harness.System) []struct {
 	name string
 	run  func() (formatter, error)
 } {
@@ -70,7 +71,7 @@ func experiments(cfg harness.Config, oracleSchedules, oracleReconfigs, oracleCra
 			res, err := harness.RunOracle(harness.OracleConfig{
 				Seed: cfg.Seed, Schedules: oracleSchedules, Flows: cfg.Flows,
 				Batch: cfg.Batch, Reconfigs: oracleReconfigs, Crashes: oracleCrashes,
-				Topo: oracleTopo, Cluster: oracleCluster,
+				System: oracleSystem,
 			})
 			if err != nil {
 				return nil, err
@@ -123,6 +124,15 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	oracleSystem := harness.SystemEngine
+	switch {
+	case *oracleTopo && *oracleCluster:
+		return fmt.Errorf("-oracle-topo and -oracle-cluster are mutually exclusive")
+	case *oracleTopo:
+		oracleSystem = harness.SystemTopology
+	case *oracleCluster:
+		oracleSystem = harness.SystemCluster
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -170,7 +180,7 @@ func run(args []string, out io.Writer) error {
 
 	jsonOut := make(map[string]any)
 	ran := false
-	for _, e := range experiments(cfg, *oracleSchedules, *oracleReconfigs, *oracleCrashes, *oracleTopo, *oracleCluster) {
+	for _, e := range experiments(cfg, *oracleSchedules, *oracleReconfigs, *oracleCrashes, oracleSystem) {
 		if *exp != "all" && *exp != e.name {
 			continue
 		}

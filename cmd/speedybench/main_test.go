@@ -76,3 +76,11 @@ func TestRunCDFOutput(t *testing.T) {
 		t.Error("fallback table missing")
 	}
 }
+
+func TestRunOracleSystemsExclusive(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-exp", "oracle", "-oracle-schedules", "1", "-oracle-topo", "-oracle-cluster"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("err = %v, want the -oracle-topo/-oracle-cluster conflict", err)
+	}
+}

@@ -81,6 +81,9 @@ func TestCompilePlanErrors(t *testing.T) {
 		{"reorder unknown", ChainPlan{Op: "reorder", Name: "ghost", Pos: 0}, chain, core.ErrPlanUnknownNF},
 		{"reorder past end", ChainPlan{Op: "reorder", Name: "mon", Pos: 4}, chain, core.ErrPlanOutOfRange},
 		{"unbuildable nf", ChainPlan{Op: "insert", Pos: 0, NF: &NFSpec{Type: "warp-drive"}}, chain, nil},
+		{"acl past bound", ChainPlan{Op: "insert", Pos: 0, NF: &NFSpec{Type: "ipfilter", Name: "big", ACLSize: 2000000000}}, chain, ErrNFConfig},
+		{"table past bound", ChainPlan{Op: "insert", Pos: 0, NF: &NFSpec{Type: "maglev", Name: "big",
+			TableSize: 2000000011, Backends: []BackendSpec{{Name: "a", IP: "10.0.0.1", Port: 1}}}}, chain, ErrNFConfig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.plan.Compile(tc.current)
@@ -177,4 +180,44 @@ func TestReconfigureRejectionLeavesEpoch(t *testing.T) {
 	if !strings.Contains(strings.Join(eng.ChainNames(), ","), "probe") {
 		t.Error("inserted NF missing from chain")
 	}
+}
+
+// TestNFSizeBoundsInclusive builds both NFs at their largest accepted
+// size.
+func TestNFSizeBoundsInclusive(t *testing.T) {
+	for _, nf := range []NFSpec{
+		{Type: "ipfilter", Name: "fw", ACLSize: maxACLSize},
+		{Type: "maglev", Name: "lb", TableSize: maxTableSize, Backends: []BackendSpec{{Name: "a", IP: "10.0.0.1", Port: 1}}},
+	} {
+		if _, err := nf.Instantiate(nf.Name); err != nil {
+			t.Errorf("%s at its bound: %v", nf.Type, err)
+		}
+	}
+}
+
+// FuzzParsePlan feeds arbitrary bodies down the daemon's plan path —
+// ParsePlan, then Compile against a fixed chain — which must reject
+// bad input with an error and never panic.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		`{"version": 1, "op": "insert", "pos": 2, "nf": {"type": "monitor", "name": "mon-b"}}`,
+		`{"op": "remove", "name": "mon"}`,
+		`{"op": "reorder", "name": "fw", "pos": 0}`,
+		`{"op": "replace", "name": "lb", "nf": {"type": "maglev", "name": "lb", "table_size": 653,
+		  "backends": [{"name": "a", "ip": "192.168.1.10", "port": 8080}]}}`,
+		`{"op": "insert", "pos": 1, "nf": {"type": "ipfilter", "acl_size": 2000000000}}`,
+		`{"op": "insert", "pos": 0, "nf": {"type": "mazunat", "internal_prefix": "10.0.0.0/8", "external_ip": "198.51.100.1"}}`,
+		`{"op": "insert", "pos": 0, "nf": {"type": "gateway", "next_hop_mac": "02:00:00:00:00:01", "voice_ports": [5060]}}`,
+		`{"op": "insert", "pos": 0, "nf": {"type": "snort", "rules": "garbage"}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	chain := []string{"nat", "lb", "mon", "fw"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		_, _ = p.Compile(chain)
+	})
 }

@@ -144,9 +144,24 @@ func ParseCIDR(s string) ([4]byte, int, error) {
 	return parseCIDR(s)
 }
 
+// Bounds on NF sizes read from a spec or a plan. The builders allocate
+// in proportion to them, and POST /v1/plan hands a request body
+// straight to Compile, so an unchecked size would let a 70-byte body
+// make the daemon build billions of rules.
+const (
+	// maxACLSize caps an ipfilter's rule count.
+	maxACLSize = 65536
+	// maxTableSize caps a Maglev lookup table at the Maglev paper's
+	// production size.
+	maxTableSize = 65537
+)
+
 func (n NFSpec) build(name string) (core.NF, error) {
 	switch n.Type {
 	case "ipfilter":
+		if n.ACLSize < 0 || n.ACLSize > maxACLSize {
+			return nil, fmt.Errorf("%w: acl_size %d outside [0, %d]", ErrNFConfig, n.ACLSize, maxACLSize)
+		}
 		size := n.ACLSize
 		if size == 0 {
 			size = 100
@@ -171,6 +186,9 @@ func (n NFSpec) build(name string) (core.NF, error) {
 	case "maglev":
 		if len(n.Backends) == 0 {
 			return nil, fmt.Errorf("%w: maglev needs backends", ErrNFConfig)
+		}
+		if n.TableSize < 0 || n.TableSize > maxTableSize {
+			return nil, fmt.Errorf("%w: table_size %d outside [0, %d]", ErrNFConfig, n.TableSize, maxTableSize)
 		}
 		backends := make([]maglev.Backend, len(n.Backends))
 		for i, b := range n.Backends {

@@ -155,6 +155,11 @@ func TestBuildErrors(t *testing.T) {
 		{"gateway short mac", `{"type": "gateway", "next_hop_mac": "02:00"}`, "MAC"},
 		{"synthetic bad class", `{"type": "synthetic", "class": "psychic"}`, "class"},
 		{"snort bad rules", `{"type": "snort", "rules": "garbage"}`, "snort"},
+		{"ipfilter negative acl", `{"type": "ipfilter", "acl_size": -1}`, "acl_size"},
+		{"ipfilter acl past bound", `{"type": "ipfilter", "acl_size": 65537}`, "acl_size"},
+		{"ipfilter huge acl", `{"type": "ipfilter", "acl_size": 2000000000}`, "acl_size"},
+		{"maglev table past bound", `{"type": "maglev", "table_size": 65539, "backends": [{"name": "a", "ip": "10.0.0.1", "port": 1}]}`, "table_size"},
+		{"maglev huge table", `{"type": "maglev", "table_size": 2000000011, "backends": [{"name": "a", "ip": "10.0.0.1", "port": 1}]}`, "table_size"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

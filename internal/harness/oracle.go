@@ -5,33 +5,57 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
 	"github.com/fastpathnfv/speedybox/internal/nf/gateway"
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
 	"github.com/fastpathnfv/speedybox/internal/nf/maglev"
+	"github.com/fastpathnfv/speedybox/internal/nf/mazunat"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/nf/snort"
 	"github.com/fastpathnfv/speedybox/internal/packet"
-	"github.com/fastpathnfv/speedybox/internal/trace"
 	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // The differential equivalence oracle generalizes the paper's three
 // hand-written §VII-C case studies into a property checked under
 // thousands of randomized fault schedules: every trace runs twice —
-// through a pure slow-path reference engine (the unmodified chain,
-// which is correct by definition) and through full SpeedyBox with a
-// seeded fault injector attacking its control plane — and every packet
-// must leave both engines with the identical verdict, identical drop
-// state and identical rewritten bytes, with identical NF-observable
-// side effects (Monitor counters, Snort logs) at the end of the trace.
-// Backend flaps are environmental (the pool genuinely changed), so the
-// injector's deterministic FlapPlan is applied to both engines at the
-// same packet indices.
+// through a pure slow-path reference (the unmodified chain, which is
+// correct by definition) and through full SpeedyBox with a seeded fault
+// injector attacking its control plane — and every packet must leave
+// both sides on the same chain, with the identical verdict, identical
+// drop state and identical rewritten bytes, and every state-bearing NF
+// must hold the identical observable state at the end of the trace.
+// One schedule runner drives all three deployments (System): a single
+// engine, a multi-chain topology and an engine cluster. Backend flaps
+// are environmental (the pool genuinely changed), so the injector's
+// deterministic FlapPlan is applied to both sides at the same packet
+// indices.
+
+// System selects the deployment the oracle drives.
+type System int
+
+const (
+	// SystemEngine runs one service chain on one engine, against a
+	// pure slow-path engine over the same chain.
+	SystemEngine System = iota
+	// SystemTopology runs a fixed three-chain, three-tenant topology
+	// (shared monitor, per-chain policies, tight tenant quotas) against
+	// a pure slow-path topology built from the same spec.
+	SystemTopology
+	// SystemCluster runs an engine fleet that scales 1→2→4→3 at seeded
+	// mid-trace packet indices, live-migrating every reassigned flow at
+	// each step, against a static pure slow-path engine. Injected
+	// fault.KindMigrationAbort decisions roll whole rebalances back,
+	// which must be verdict-invisible too.
+	SystemCluster
+)
 
 // OracleConfig configures a differential-oracle run.
 type OracleConfig struct {
@@ -43,15 +67,19 @@ type OracleConfig struct {
 	Schedules int
 	// Flows is the per-schedule trace size (default 24).
 	Flows int
-	// Chain picks the service chain: 1 or 2 (§VII-B3); 0 alternates
-	// per schedule.
+	// System picks the deployment under test (default SystemEngine).
+	// Batch, Reconfigs and Crashes compose with every system.
+	System System
+	// Chain picks the service chain of the engine and cluster systems:
+	// 1 or 2 (§VII-B3), or 3 for the stateless chain; 0 alternates per
+	// schedule (the cluster cycles through all three).
 	Chain int
-	// Batch > 1 drives the fast engine through ProcessBatch in vectors
-	// of that size (the reference engine stays scalar — its correctness
-	// is definitional), proving the batched data path bit-identical to
-	// per-packet execution under the same fault schedules. Vectors are
-	// clipped at backend-flap indices so every packet of a batch
-	// observes the same pool state as its reference twin.
+	// Batch > 1 drives the fast side through its batched data path in
+	// vectors of that size (the reference stays scalar — its
+	// correctness is definitional), proving the batched path
+	// bit-identical to per-packet execution under the same fault
+	// schedules. Vectors are clipped at every scheduled event so each
+	// packet of a batch observes the same state as its reference twin.
 	Batch int
 	// Rates overrides the per-kind injection rates; nil selects a
 	// uniform moderate-chaos default across every fault kind.
@@ -59,63 +87,43 @@ type OracleConfig struct {
 	// TamperRule, when set, corrupts the flow's consolidated rule
 	// after each fast-engine packet. Test-only: it exists to prove the
 	// oracle has teeth — a deliberately broken consolidation must be
-	// caught as a divergence.
+	// caught as a divergence. SystemEngine only.
 	TamperRule func(*mat.GlobalRule)
 	// Reconfigs is how many live chain reconfigurations to apply per
 	// schedule, at deterministic mid-trace offsets derived from the
 	// schedule seed. Each plan (insert a gateway — a semantically
 	// visible MAC rewrite —, insert a pass-all filter, remove a
-	// previous insertion, reorder) is applied to the fast engine and to
-	// the slow-path reference at the same packet index; a fault-aborted
-	// plan is skipped on both, which is exactly the rollback contract
-	// under test. 0 disables reconfiguration.
+	// previous insertion, reorder) is applied to the fast side and to
+	// the reference at the same packet index; a fault-aborted plan is
+	// skipped on both, which is exactly the rollback contract under
+	// test. A topology reconfigures one chain per schedule, rotating
+	// across schedules; a cluster reconfigures fleet-wide. 0 disables
+	// reconfiguration.
 	Reconfigs int
 	// TamperReconfig, when set, runs after each successful fast-engine
 	// reconfiguration with a copy of the rules installed before it.
 	// Test-only teeth: re-installing those pre-reconfiguration rules
 	// under the new epoch models a broken invalidation and must be
-	// caught as a divergence.
+	// caught as a divergence. SystemEngine only.
 	TamperReconfig func(eng *core.Engine, pre []*mat.GlobalRule)
-	// Topo switches to the multi-chain topology oracle: each schedule
-	// runs a fixed three-chain, three-tenant topology (shared monitor,
-	// per-chain policies, tight tenant quotas) against per-flow pure
-	// slow-path references — the same lockstep verdict/drop/byte
-	// comparison, plus shared-NF observables, composed with Batch,
-	// Reconfigs and Crashes.
-	Topo bool
-	// TamperRoute, when set with Topo, overrides the fast topology's
-	// classifier (receiving each packet and the honest chain index).
-	// Test-only teeth: routing a flow down the wrong chain must be
-	// caught as a divergence.
+	// TamperRoute, when set, overrides the fast topology's classifier
+	// (receiving each packet and the honest chain index). Test-only
+	// teeth: routing a flow down the wrong chain must be caught as a
+	// divergence. SystemTopology only.
 	TamperRoute func(pkt *packet.Packet, chain int) int
-	// Cluster switches to the multi-instance cluster oracle: each
-	// schedule drives the identical trace through a static single
-	// engine (the reference) and through a cluster that scales
-	// 1→2→4→3 at seeded mid-trace packet indices, live-migrating
-	// every reassigned flow at each step. Per-packet verdicts, drop
-	// decisions and rewritten bytes must stay bit-identical across
-	// every rebalance — zero drops during migration — and the
-	// end-of-trace NF observables must match. Composes with Batch
-	// (the cluster runs its batched run-splitting path), Reconfigs
-	// (applied cluster-wide at a common packet boundary) and Crashes
-	// (random instances are killed and restored from checkpoint+WAL
-	// mid-trace). Injected fault.KindMigrationAbort decisions roll
-	// whole rebalances back, which must also be verdict-invisible.
-	Cluster bool
-	// TamperMigration, when set with Cluster, corrupts each decoded
-	// migration record before the new owner adopts it. Test-only
-	// teeth: a migration that delivers the wrong rule must be caught
-	// as a divergence.
+	// TamperMigration, when set, corrupts each decoded migration record
+	// before the new owner adopts it. Test-only teeth: a migration that
+	// delivers the wrong rule must be caught as a divergence.
+	// SystemCluster only.
 	TamperMigration func(*wal.MigrationRecord)
-	// Crashes > 0 kills and restores the fast engine at up to that many
-	// (capped at 4) seeded packet indices per schedule: a
-	// crash-consistent checkpoint is taken at the kill point, the engine
-	// and every NF instance are discarded, a fresh chain is rebuilt
-	// (replaying any surviving reconfigurations), and Engine.Restore
-	// rehydrates it from the encoded checkpoint plus the durable WAL
-	// prefix — exactly what a process restart would find on disk. The
-	// reference engine runs uninterrupted, so any state the restore
-	// loses or invents shows up as a divergence.
+	// Crashes > 0 kills and restores the fast side at up to that many
+	// (capped at 4) seeded packet indices per schedule, from exactly
+	// what a process restart would find on disk: a crash-consistent
+	// checkpoint taken at the kill point plus the durable WAL prefix.
+	// An engine or a topology is discarded whole and rebuilt (replaying
+	// any surviving reconfigurations); a cluster replaces one instance.
+	// The reference runs uninterrupted, so any state the restore loses
+	// or invents shows up as a divergence.
 	Crashes int
 }
 
@@ -152,7 +160,7 @@ type OracleResult struct {
 	CrashRestores uint64
 	// Migrations, MigrationAborts and Rebalances total the cluster
 	// oracle's live flow moves, rolled-back rebalances and completed
-	// rebalances (zero outside Cluster mode).
+	// rebalances (zero outside SystemCluster).
 	Migrations      uint64
 	MigrationAborts uint64
 	Rebalances      uint64
@@ -196,6 +204,9 @@ func (r *OracleResult) Format() string {
 
 // RunOracle executes the differential equivalence oracle.
 func RunOracle(cfg OracleConfig) (*OracleResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -212,26 +223,7 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	res := &OracleResult{}
 	for s := 0; s < cfg.Schedules; s++ {
 		seed := cfg.Seed + int64(s)*7919
-		chain := cfg.Chain
-		if chain == 0 {
-			chain = 1 + s%2
-			if cfg.Cluster {
-				// Cycle in the stateless chain so rule-carrying
-				// migration runs alongside the demotion path the
-				// monitor-bearing chains force.
-				chain = 1 + s%3
-			}
-		}
-		var err error
-		switch {
-		case cfg.Topo:
-			err = runTopoSchedule(cfg, s, seed, rates, res)
-		case cfg.Cluster:
-			err = runClusterSchedule(cfg, s, seed, chain, rates, res)
-		default:
-			err = runOracleSchedule(cfg, s, seed, chain, rates, res)
-		}
-		if err != nil {
+		if err := runSchedule(cfg, s, seed, rates, res); err != nil {
 			return nil, fmt.Errorf("harness: oracle schedule %d (seed %d): %w", s, seed, err)
 		}
 		res.Schedules++
@@ -242,42 +234,330 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	return res, nil
 }
 
-// oracleChain is one engine's chain with its observable NFs picked out.
-type oracleChain struct {
-	nfs []core.NF
-	lb  *maglev.Maglev
-	mon *monitor.Monitor
-	ids *snort.Snort
+// validate rejects settings the chosen system would silently ignore.
+func (cfg *OracleConfig) validate() error {
+	switch {
+	case cfg.System < SystemEngine || cfg.System > SystemCluster:
+		return fmt.Errorf("harness: oracle: unknown system %d", cfg.System)
+	case (cfg.TamperRule != nil || cfg.TamperReconfig != nil) && cfg.System != SystemEngine:
+		return errors.New("harness: oracle: TamperRule and TamperReconfig need SystemEngine")
+	case cfg.TamperRoute != nil && cfg.System != SystemTopology:
+		return errors.New("harness: oracle: TamperRoute needs SystemTopology")
+	case cfg.TamperMigration != nil && cfg.System != SystemCluster:
+		return errors.New("harness: oracle: TamperMigration needs SystemCluster")
+	}
+	return nil
 }
 
-func buildOracleChain(chain int) (*oracleChain, error) {
-	var (
-		nfs []core.NF
-		err error
-	)
-	switch chain {
-	case 1:
-		nfs, err = Chain1()
-	case 3:
-		nfs, err = ChainStateless()
-	default:
-		nfs, err = Chain2()
-	}
+// system is one side of a schedule: an engine, a topology or a
+// cluster. The reference side is an engine or a topology built with
+// core.BaselineOptions(), driven one packet at a time.
+type system interface {
+	// process runs a non-empty prefix of pkts — one packet when the
+	// system is scalar — and passes each packet's offset, result and
+	// chain index (-1 when the system does not route) to emit, in
+	// order, stopping when emit returns false. It returns the prefix
+	// length.
+	process(pkts []*packet.Packet, emit emitFunc) (int, error)
+	// reconfigure applies one live chain change.
+	reconfigure(plan core.ChainPlan) error
+	// crash kills and restores the system from its checkpoint and
+	// durable WAL; applied rebuilds every plan committed before it.
+	crash(applied []planMaker) error
+	// chainNames lists the NF names the reconfiguration plans target.
+	chainNames() []string
+	// nfs lists the NF instances the end-of-trace comparison reads.
+	nfs() []core.NF
+	// stats sums the counters of every engine the system has run,
+	// including ones a crash retired.
+	stats() core.Stats
+}
+
+// emitFunc receives one packet's outcome from system.process.
+type emitFunc func(k int, res *core.PacketResult, chain int) bool
+
+// event is one scheduled environmental transition.
+type event struct {
+	at    int
+	apply func() error
+}
+
+// runSchedule replays one fault schedule through the fast system and
+// its reference in lockstep.
+func runSchedule(cfg OracleConfig, sched int, seed int64, rates map[fault.Kind]float64, res *OracleResult) error {
+	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
+	pkts, ref, fast, err := newSystems(cfg, sched, seed, inj)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	oc := &oracleChain{nfs: nfs}
-	for _, nf := range nfs {
-		switch v := nf.(type) {
-		case *maglev.Maglev:
-			oc.lb = v
-		case *monitor.Monitor:
-			oc.mon = v
-		case *snort.Snort:
-			oc.ids = v
+	fleet, _ := fast.(*clusterSystem)
+	if fleet != nil {
+		defer fleet.cl.Close()
+	}
+	n := len(pkts)
+	refPkts, fastPkts := cloneAll(pkts), cloneAll(pkts)
+	diverge := func(pkt int, format string, args ...any) {
+		res.Divergences = append(res.Divergences, OracleDivergence{
+			Schedule: sched, Seed: seed, Packet: pkt,
+			Detail: fmt.Sprintf(format, args...),
+		})
+	}
+
+	var flaps []fault.Flap
+	if maglevIn(ref.nfs()) != nil {
+		flaps = inj.FlapPlan(n, 3)
+	}
+	var crashes []fault.Crash
+	if cfg.Crashes > 0 {
+		// CrashPlan scales its count with the KindCrashRestore rate
+		// (count = int(rate*4)+1, capped at 4), so (c-1)/4 plus a nudge
+		// yields exactly min(c, 4) planned crashes.
+		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
+		crashes = inj.CrashPlan(n)
+	}
+
+	// Every event kind goes into one list; the stable sort keeps the
+	// order scale → crash → flap → reconfigure at a shared index.
+	var events []event
+	if fleet != nil {
+		for _, ev := range buildScaleEvents(seed, n) {
+			events = append(events, event{ev.at, func() error { return fleet.scale(ev.target) }})
 		}
 	}
-	return oc, nil
+	var applied []planMaker
+	for _, c := range crashes {
+		events = append(events, event{c.At, func() error {
+			if err := fast.crash(applied); err != nil {
+				return err
+			}
+			res.CrashRestores++
+			return nil
+		}})
+	}
+	for _, f := range flaps {
+		events = append(events, event{f.At, func() error {
+			for _, s := range [...]system{ref, fast} {
+				lb := maglevIn(s.nfs())
+				var err error
+				if f.Restore {
+					err = lb.RestoreBackend(f.Backend)
+				} else {
+					err = lb.FailBackend(f.Backend)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
+	}
+	if cfg.Reconfigs > 0 {
+		for _, ev := range buildReconfigEvents(seed, cfg.Reconfigs, n, ref.chainNames()) {
+			events = append(events, event{ev.at, func() error {
+				plan, err := ev.mk()
+				if err != nil {
+					return err
+				}
+				if ferr := fast.reconfigure(plan); ferr != nil {
+					// An aborted (or, after an earlier abort, validation-
+					// rejected) plan left the fast side untouched — that
+					// is the rollback contract — so the reference skips it
+					// too and the two stay in lockstep.
+					if errors.Is(ferr, core.ErrReconfigAborted) {
+						res.ReconfigAborts++
+					}
+					return nil
+				}
+				refPlan, err := ev.mk()
+				if err != nil {
+					return err
+				}
+				if rerr := ref.reconfigure(refPlan); rerr != nil {
+					return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
+				}
+				res.Reconfigs++
+				applied = append(applied, ev.mk)
+				return nil
+			}})
+		}
+	}
+	sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
+
+	var (
+		refRes   *core.PacketResult
+		refChain int
+		refErr   error
+		fids     []flow.FID
+	)
+	captureRef := func(_ int, r *core.PacketResult, chain int) bool {
+		refRes, refChain = r, chain
+		return true
+	}
+	// compare runs packet k through the reference and checks the fast
+	// side's outcome for it.
+	compare := func(k int, got *core.PacketResult, chain int) bool {
+		if _, refErr = ref.process(refPkts[k:k+1], captureRef); refErr != nil {
+			return false
+		}
+		res.Packets++
+		fids = append(fids, refRes.FID)
+		rp, fp := refPkts[k], fastPkts[k]
+		switch {
+		case refChain != chain:
+			diverge(k, "route: ref chain %d, fast chain %d", refChain, chain)
+		case refRes.Verdict != got.Verdict:
+			diverge(k, "verdict: ref %v, fast %v", refRes.Verdict, got.Verdict)
+		case rp.Dropped() != fp.Dropped():
+			diverge(k, "dropped: ref %v, fast %v", rp.Dropped(), fp.Dropped())
+		case !rp.Dropped() && !bytes.Equal(rp.Data(), fp.Data()):
+			diverge(k, "rewritten bytes differ (%d vs %d bytes)", len(rp.Data()), len(fp.Data()))
+		default:
+			return true
+		}
+		return false
+	}
+
+	next := 0
+	for i := 0; i < n; {
+		for ; next < len(events) && events[next].at <= i; next++ {
+			if err := events[next].apply(); err != nil {
+				return fmt.Errorf("packet %d: %w", i, err)
+			}
+		}
+		// One packet, or one vector clipped at the next event: every
+		// environmental transition must interleave with the packet
+		// stream identically on both sides.
+		end := i + 1
+		if cfg.Batch > 1 {
+			end = min(i+cfg.Batch, n)
+			if next < len(events) && events[next].at < end {
+				end = events[next].at
+			}
+		}
+		agreed := true
+		used, err := fast.process(fastPkts[i:end], func(off int, r *core.PacketResult, chain int) bool {
+			agreed = compare(i+off, r, chain)
+			return agreed
+		})
+		if err != nil {
+			return fmt.Errorf("packet %d: fast: %w", i, err)
+		}
+		if refErr != nil {
+			return fmt.Errorf("packet %d: reference: %w", i, refErr)
+		}
+		if !agreed {
+			break
+		}
+		i += used
+	}
+
+	compareNFState(ref.nfs(), fast.nfs(), fids, diverge)
+
+	st := fast.stats()
+	res.Injected += inj.InjectedTotal()
+	res.Fallbacks += st.SlowPathFallbacks
+	res.Degraded += st.DegradedPackets
+	res.Recoveries += st.FaultRecoveries
+	if fleet != nil {
+		res.Migrations += fleet.cl.Migrations()
+		res.MigrationAborts += fleet.cl.Aborts()
+		res.Rebalances += fleet.cl.Rebalances()
+	}
+	return nil
+}
+
+// compareNFState checks, at the end of a trace, that every
+// state-bearing NF of the reference holds the same observable state as
+// its same-named fast twin: the consolidated fast path must have driven
+// every state function exactly as the chain did. Maglev's reroute
+// counter is left out: it counts only event-path reroutes, while the
+// reference re-picks inside Process without counting.
+func compareNFState(ref, fast []core.NF, fids []flow.FID, diverge func(pkt int, format string, args ...any)) {
+	twins := make(map[string]core.NF, len(fast))
+	for _, nf := range fast {
+		twins[nf.Name()] = nf
+	}
+	for _, r := range ref {
+		name, f := r.Name(), twins[r.Name()]
+		if reflect.TypeOf(f) != reflect.TypeOf(r) {
+			diverge(-1, "nf %s: ref %T, fast %T", name, r, f)
+			continue
+		}
+		switch r := r.(type) {
+		case *monitor.Monitor:
+			f := f.(*monitor.Monitor)
+			if rc, fc := r.Totals(), f.Totals(); rc != fc {
+				diverge(-1, "%s counters: ref %+v, fast %+v", name, rc, fc)
+			}
+			if rn, fn := r.Flows(), f.Flows(); rn != fn {
+				diverge(-1, "%s tracked flows: ref %d, fast %d", name, rn, fn)
+			}
+		case *snort.Snort:
+			rl, fl := r.Logs(), f.(*snort.Snort).Logs()
+			if len(rl) != len(fl) {
+				diverge(-1, "%s logs: ref %d entries, fast %d", name, len(rl), len(fl))
+				break
+			}
+			for j := range rl {
+				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
+					diverge(-1, "%s log %d: ref (%d,%v), fast (%d,%v)",
+						name, j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
+					break
+				}
+			}
+		case *maglev.Maglev:
+			f := f.(*maglev.Maglev)
+			// The lookup table is a pure function of the healthy set.
+			if !slices.Equal(r.Table(), f.Table()) {
+				diverge(-1, "%s backend health differs", name)
+			}
+			for _, fid := range fids {
+				rb, rok := r.BackendOf(fid)
+				fb, fok := f.BackendOf(fid)
+				if rb != fb || rok != fok {
+					diverge(-1, "%s backend of %v: ref %q, fast %q", name, fid, rb.Name, fb.Name)
+					break
+				}
+			}
+		case *mazunat.NAT:
+			if rm, fm := r.Mappings(), f.(*mazunat.NAT).Mappings(); rm != fm {
+				diverge(-1, "%s mappings: ref %d, fast %d", name, rm, fm)
+			}
+		}
+	}
+}
+
+// maglevIn returns the chain's load balancer, nil when it has none.
+func maglevIn(nfs []core.NF) *maglev.Maglev {
+	for _, nf := range nfs {
+		if lb, ok := nf.(*maglev.Maglev); ok {
+			return lb
+		}
+	}
+	return nil
+}
+
+// cloneAll deep-copies a packet slice so the reference and the fast
+// side each consume an independent stream.
+func cloneAll(pkts []*packet.Packet) []*packet.Packet {
+	out := make([]*packet.Packet, len(pkts))
+	for i, p := range pkts {
+		out[i] = p.Clone()
+	}
+	return out
+}
+
+// buildOracleChain builds a fresh instance of one of the oracle's
+// chains: 1 and 2 are the paper's (§VII-B3), 3 the stateless one.
+func buildOracleChain(chain int) ([]core.NF, error) {
+	switch chain {
+	case 1:
+		return Chain1()
+	case 3:
+		return ChainStateless()
+	default:
+		return Chain2()
+	}
 }
 
 // reconfigEvent is one scheduled live chain change. mk builds a fresh
@@ -285,8 +565,11 @@ func buildOracleChain(chain int) (*oracleChain, error) {
 // and the fast engine never share an inserted NF's state.
 type reconfigEvent struct {
 	at int
-	mk func() (core.ChainPlan, error)
+	mk planMaker
 }
+
+// planMaker builds one chain plan.
+type planMaker func() (core.ChainPlan, error)
 
 // buildReconfigEvents derives n deterministic chain changes from the
 // schedule seed, at sorted offsets inside the middle 80% of the trace.
@@ -295,8 +578,8 @@ type reconfigEvent struct {
 // surviving insertion (or inserting an extra monitor when none
 // remains), and reordering a random NF. Plan positions track the chain
 // as if every plan lands; when an earlier plan is fault-aborted a later
-// one may be rejected by validation — on both engines identically,
-// which the schedule runner treats as a shared no-op.
+// one may be rejected by validation — on both sides identically, which
+// the schedule runner treats as a shared no-op.
 func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEvent {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	names := append([]string(nil), chain...)
@@ -311,375 +594,52 @@ func buildReconfigEvents(seed int64, n, pkts int, chain []string) []reconfigEven
 	}
 	sort.Ints(offsets)
 	events := make([]reconfigEvent, 0, n)
-	for k := 0; k < n; k++ {
-		at := offsets[k]
-		switch k % 4 {
-		case 0:
-			k, name := k, fmt.Sprintf("gw%d", k)
-			pos := rng.Intn(len(names) + 1)
-			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-				nf, err := gateway.New(gateway.Config{
-					Name:       name,
-					NextHopMAC: [6]byte{2, 0, 0, 0, 0, byte(k + 1)},
-				})
-				if err != nil {
-					return core.ChainPlan{}, err
-				}
-				return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
-			}})
-			names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-			inserted = append(inserted, name)
-		case 1:
-			name := fmt.Sprintf("flt%d", k)
-			pos := rng.Intn(len(names) + 1)
-			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-				nf, err := ipfilter.New(ipfilter.Config{
-					Name:  name,
-					Rules: ipfilter.PadRules(nil, 50),
-				})
-				if err != nil {
-					return core.ChainPlan{}, err
-				}
-				return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
-			}})
-			names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-			inserted = append(inserted, name)
-		case 2:
-			if len(inserted) > 0 {
-				name := inserted[0]
-				inserted = inserted[1:]
-				events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-					return core.ChainPlan{Op: core.OpRemove, Name: name}, nil
-				}})
-				kept := names[:0:0]
-				for _, n := range names {
-					if n != name {
-						kept = append(kept, n)
-					}
-				}
-				names = kept
-			} else {
-				name := fmt.Sprintf("mon%d", k)
-				pos := rng.Intn(len(names) + 1)
-				events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
-					nf, err := monitor.New(name)
-					if err != nil {
-						return core.ChainPlan{}, err
-					}
-					return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
-				}})
-				names = append(names[:pos], append([]string{name}, names[pos:]...)...)
-				inserted = append(inserted, name)
+	// insert schedules a fresh NF from build at a random position.
+	insert := func(at int, name string, build func() (core.NF, error)) {
+		pos := rng.Intn(len(names) + 1)
+		events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
+			nf, err := build()
+			if err != nil {
+				return core.ChainPlan{}, err
 			}
+			return core.ChainPlan{Op: core.OpInsert, Pos: pos, NF: nf}, nil
+		}})
+		names = slices.Insert(names, pos, name)
+		inserted = append(inserted, name)
+	}
+	without := func(name string) []string {
+		return slices.DeleteFunc(names, func(n string) bool { return n == name })
+	}
+	for k, at := range offsets {
+		switch {
+		case k%4 == 0:
+			name := fmt.Sprintf("gw%d", k)
+			insert(at, name, func() (core.NF, error) {
+				return gateway.New(gateway.Config{Name: name, NextHopMAC: [6]byte{2, 0, 0, 0, 0, byte(k + 1)}})
+			})
+		case k%4 == 1:
+			name := fmt.Sprintf("flt%d", k)
+			insert(at, name, func() (core.NF, error) {
+				return ipfilter.New(ipfilter.Config{Name: name, Rules: ipfilter.PadRules(nil, 50)})
+			})
+		case k%4 == 2 && len(inserted) > 0:
+			name := inserted[0]
+			inserted = inserted[1:]
+			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
+				return core.ChainPlan{Op: core.OpRemove, Name: name}, nil
+			}})
+			names = without(name)
+		case k%4 == 2:
+			name := fmt.Sprintf("mon%d", k)
+			insert(at, name, func() (core.NF, error) { return monitor.New(name) })
 		default:
 			name := names[rng.Intn(len(names))]
 			pos := rng.Intn(len(names))
 			events = append(events, reconfigEvent{at: at, mk: func() (core.ChainPlan, error) {
 				return core.ChainPlan{Op: core.OpReorder, Name: name, Pos: pos}, nil
 			}})
-			kept := names[:0:0]
-			for _, n := range names {
-				if n != name {
-					kept = append(kept, n)
-				}
-			}
-			names = append(kept[:pos], append([]string{name}, kept[pos:]...)...)
+			names = slices.Insert(without(name), pos, name)
 		}
 	}
 	return events
-}
-
-// runOracleSchedule replays one fault schedule through both engines.
-func runOracleSchedule(cfg OracleConfig, sched int, seed int64, chain int, rates map[fault.Kind]float64, res *OracleResult) error {
-	tr, err := trace.Generate(trace.Config{
-		Seed: seed, Flows: cfg.Flows,
-		AlertFraction: 0.15, LogFraction: 0.15,
-		Interleave: true,
-	})
-	if err != nil {
-		return err
-	}
-	ref, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	fast, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	refEng, err := core.NewEngine(ref.nfs, core.BaselineOptions())
-	if err != nil {
-		return err
-	}
-	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
-	fastEng, err := core.NewEngine(fast.nfs, fastOpts)
-	if err != nil {
-		return err
-	}
-
-	refPkts, fastPkts := tr.Packets(), tr.Packets()
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	// Backend flaps are pool changes, not SpeedyBox faults: both
-	// engines' Maglev instances see the identical schedule, and the
-	// reference's assignment logic re-picks for unhealthy pins exactly
-	// as the fast engine's events reroute.
-	var plan []fault.Flap
-	if ref.lb != nil {
-		plan = inj.FlapPlan(len(refPkts), 3)
-	}
-	next := 0
-
-	var crashes []fault.Crash
-	if cfg.Crashes > 0 {
-		// CrashPlan scales its count with the KindCrashRestore rate
-		// (count = int(rate*4)+1, capped at 4), so (c-1)/4 plus a nudge
-		// yields exactly min(c, 4) planned crashes.
-		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-		fastEng.AttachWAL(wal.NewWriter(wal.Options{}))
-	}
-	nextCrash := 0
-
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		chainNames := make([]string, len(ref.nfs))
-		for i, nf := range ref.nfs {
-			chainNames[i] = nf.Name()
-		}
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), chainNames)
-	}
-	nextRe := 0
-	var appliedRe []reconfigEvent
-	applyReconfig := func(ev reconfigEvent) error {
-		var pre []*mat.GlobalRule
-		if cfg.TamperReconfig != nil {
-			fastEng.Global().ForEach(func(r *mat.GlobalRule) {
-				cp := *r
-				pre = append(pre, &cp)
-			})
-		}
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := fastEng.Reconfigure(fastPlan); ferr != nil {
-			// An aborted (or, after an earlier abort, validation-rejected)
-			// plan left the fast chain untouched — that is the rollback
-			// contract — so the reference skips it too and the engines
-			// stay in lockstep.
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
-			}
-			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refEng.Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		appliedRe = append(appliedRe, ev)
-		if cfg.TamperReconfig != nil {
-			cfg.TamperReconfig(fastEng, pre)
-		}
-		return nil
-	}
-
-	// crashRestore kills the fast engine and rehydrates a fresh one from
-	// exactly what a process restart would find on disk: the encoded
-	// crash-consistent checkpoint plus the durable (synced) WAL prefix.
-	// The reference engine runs on uninterrupted, so any state the
-	// restore loses or invents surfaces as a divergence downstream.
-	crashRestore := func() error {
-		cp, err := fastEng.Checkpoint()
-		if err != nil {
-			return fmt.Errorf("crash checkpoint: %w", err)
-		}
-		blob := cp.Encode()
-		durable := append([]byte(nil), fastEng.WAL().DurableBytes()...)
-
-		// The old engine's degradation counters die with it; bank them.
-		st := fastEng.Stats()
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-
-		nfast, err := buildOracleChain(chain)
-		if err != nil {
-			return err
-		}
-		neweng, err := core.NewEngine(nfast.nfs, fastOpts)
-		if err != nil {
-			return err
-		}
-		// Rebuild the chain composition the checkpoint was taken under:
-		// replay every reconfiguration that survived, with abort
-		// injection off — these plans already committed before the crash.
-		abortRate := inj.Rate(fault.KindReconfigAbort)
-		inj.SetRate(fault.KindReconfigAbort, 0)
-		for _, ev := range appliedRe {
-			plan, err := ev.mk()
-			if err != nil {
-				return err
-			}
-			if rerr := neweng.Reconfigure(plan); rerr != nil {
-				return fmt.Errorf("crash rebuild reconfigure (%s): %v", plan, rerr)
-			}
-		}
-		inj.SetRate(fault.KindReconfigAbort, abortRate)
-
-		rcp, err := wal.DecodeCheckpoint(blob)
-		if err != nil {
-			return fmt.Errorf("crash checkpoint decode: %w", err)
-		}
-		if err := neweng.Restore(rcp, durable); err != nil {
-			return fmt.Errorf("crash restore: %w", err)
-		}
-		neweng.AttachWAL(wal.NewWriter(wal.Options{}))
-		fast, fastEng = nfast, neweng
-		res.CrashRestores++
-		return nil
-	}
-
-	var cb *core.Batch
-	if cfg.Batch > 1 {
-		cb = core.NewBatch(cfg.Batch)
-	}
-
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			if err := crashRestore(); err != nil {
-				return fmt.Errorf("packet %d: %w", i, err)
-			}
-		}
-		for next < len(plan) && plan[next].At <= i {
-			f := plan[next]
-			next++
-			if f.Restore {
-				_ = ref.lb.RestoreBackend(f.Backend)
-				_ = fast.lb.RestoreBackend(f.Backend)
-			} else {
-				_ = ref.lb.FailBackend(f.Backend)
-				_ = fast.lb.FailBackend(f.Backend)
-			}
-		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
-			}
-		}
-		// One packet, or one vector clipped at the next flap or
-		// reconfiguration index: both are environmental transitions and
-		// must interleave with the packet stream identically in both
-		// engines.
-		end := i + 1
-		if cb != nil {
-			end = i + cfg.Batch
-			if end > len(refPkts) {
-				end = len(refPkts)
-			}
-			if next < len(plan) && plan[next].At < end {
-				end = plan[next].At
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < end {
-				end = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < end {
-				end = crashes[nextCrash].At
-			}
-		}
-		var fastResults []*core.PacketResult
-		if cb != nil {
-			var err error
-			fastResults, err = fastEng.ProcessBatch(fastPkts[i:end], cb)
-			if err != nil {
-				return fmt.Errorf("packet %d: fast batch err %v", i, err)
-			}
-		}
-		for k := i; k < end; k++ {
-			refRes, refErr := refEng.ProcessPacket(refPkts[k])
-			var fastRes *core.PacketResult
-			var fastErr error
-			if cb != nil {
-				fastRes = fastResults[k-i]
-			} else {
-				fastRes, fastErr = fastEng.ProcessPacket(fastPkts[k])
-			}
-			if refErr != nil || fastErr != nil {
-				return fmt.Errorf("packet %d: ref err %v, fast err %v", k, refErr, fastErr)
-			}
-			res.Packets++
-			if refRes.Verdict != fastRes.Verdict {
-				diverge(k, "verdict: ref %v, fast %v", refRes.Verdict, fastRes.Verdict)
-				break scan
-			}
-			if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-				diverge(k, "dropped: ref %v, fast %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-				break scan
-			}
-			if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-				diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-					len(refPkts[k].Data()), len(fastPkts[k].Data()))
-				break scan
-			}
-			if cfg.TamperRule != nil {
-				// In batch mode the vector has already run; tampering
-				// still poisons every later vector of the flow.
-				if r, ok := fastEng.Global().Lookup(fastRes.FID); ok {
-					broken := *r
-					cfg.TamperRule(&broken)
-					// Recompile so the tamper reaches the compiled
-					// action program the data path executes — exactly
-					// as a genuinely broken Consolidate would.
-					broken.Compile()
-					fastEng.Global().Install(&broken)
-				}
-			}
-		}
-		i = end
-	}
-
-	// End-of-trace NF-observable state: the consolidated fast path
-	// must have driven every state function exactly as the chain did.
-	if ref.mon != nil {
-		if rc, fc := ref.mon.Totals(), fast.mon.Totals(); rc != fc {
-			diverge(-1, "monitor counters: ref %+v, fast %+v", rc, fc)
-		}
-	}
-	if ref.ids != nil {
-		rl, fl := ref.ids.Logs(), fast.ids.Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, fast %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), fast (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
-				}
-			}
-		}
-	}
-
-	st := fastEng.Stats()
-	res.Injected += inj.InjectedTotal()
-	res.Fallbacks += st.SlowPathFallbacks
-	res.Degraded += st.DegradedPackets
-	res.Recoveries += st.FaultRecoveries
-	return nil
 }

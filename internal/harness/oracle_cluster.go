@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,8 +11,8 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/fault"
 	"github.com/fastpathnfv/speedybox/internal/nf/gateway"
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
+	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/platform"
-	"github.com/fastpathnfv/speedybox/internal/trace"
 )
 
 // The cluster oracle extends the differential equivalence property to
@@ -86,273 +85,104 @@ func buildScaleEvents(seed int64, pkts int) []scaleEvent {
 	return events
 }
 
-// runClusterSchedule replays one fault schedule through the static
-// reference engine and the scaling cluster.
-func runClusterSchedule(cfg OracleConfig, sched int, seed int64, chain int, rates map[fault.Kind]float64, res *OracleResult) error {
-	tr, err := trace.Generate(trace.Config{
-		Seed: seed, Flows: cfg.Flows,
-		AlertFraction: 0.15, LogFraction: 0.15,
-		Interleave: true,
-	})
+// clusterSystem is an engine fleet behind the consistent-hash steerer,
+// sharing one set of chain NF instances.
+type clusterSystem struct {
+	cl      *cluster.Cluster
+	chainNF []core.NF
+	batch   int
+	pb      *platform.Batch
+	crashed int
+}
+
+// newClusterSystem starts a one-instance cluster over a fresh chain.
+func newClusterSystem(chain int, opts core.Options, cfg OracleConfig) (*clusterSystem, error) {
+	nfs, err := buildOracleChain(chain)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ref, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	fast, err := buildOracleChain(chain)
-	if err != nil {
-		return err
-	}
-	refEng, err := core.NewEngine(ref.nfs, core.BaselineOptions())
-	if err != nil {
-		return err
-	}
-	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
 	if cfg.Rates == nil {
 		// The abort injector is consulted once per *flow that must
 		// move*, so the schedule-default 8% rate would abort nearly
 		// every multi-flow rebalance and the oracle would never watch
 		// a migration commit. A low per-flow rate makes most
 		// rebalances land while still rolling a healthy minority back.
-		inj.SetRate(fault.KindMigrationAbort, 0.02)
+		opts.Faults.SetRate(fault.KindMigrationAbort, 0.02)
 	}
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
 	cl, err := cluster.New(cluster.Config{
-		Chain:     fast.nfs,
-		Options:   fastOpts,
+		Chain:     nfs,
+		Options:   opts,
 		Instances: 1,
 		Durable:   cfg.Crashes > 0,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer cl.Close()
 	cl.TamperMigration = cfg.TamperMigration
-
-	refPkts, fastPkts := tr.Packets(), tr.Packets()
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	scales := buildScaleEvents(seed, len(refPkts))
-	nextScale := 0
-
-	var plan []fault.Flap
-	if ref.lb != nil {
-		plan = inj.FlapPlan(len(refPkts), 3)
-	}
-	next := 0
-
-	var crashes []fault.Crash
-	if cfg.Crashes > 0 {
-		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-	}
-	nextCrash := 0
-	crashed := 0
-
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		chainNames := make([]string, len(ref.nfs))
-		for i, nf := range ref.nfs {
-			chainNames[i] = nf.Name()
-		}
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), chainNames)
-	}
-	nextRe := 0
-	applyReconfig := func(ev reconfigEvent) error {
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := cl.Reconfigure(fastPlan); ferr != nil {
-			// An aborted (or, after an earlier abort, validation-
-			// rejected) plan left every instance untouched — instance
-			// 0 decides before the rest apply — so the reference skips
-			// it too and the engines stay in lockstep.
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
-			}
-			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refEng.Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		return nil
-	}
-
-	// bankStats folds an instance's degradation counters into the run
-	// totals before its engine is discarded (crash) or the schedule
-	// ends.
-	bankStats := func(st core.Stats) {
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-	}
-
-	var pb *platform.Batch
+	s := &clusterSystem{cl: cl, chainNF: nfs, batch: cfg.Batch}
 	if cfg.Batch > 1 {
-		pb = platform.NewBatch(cfg.Batch)
+		s.pb = platform.NewBatch(cfg.Batch)
 	}
+	return s, nil
+}
 
-	// compare checks one fast measurement against its reference twin.
-	compare := func(k int, m platform.Measurement) bool {
-		refRes, refErr := refEng.ProcessPacket(refPkts[k])
-		if refErr != nil {
-			diverge(k, "reference error: %v", refErr)
-			return false
+// process runs one packet, or a vector through the cluster's batched
+// run-splitting path.
+func (s *clusterSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error) {
+	if s.pb == nil {
+		m, err := s.cl.Process(pkts[0])
+		if err != nil {
+			return 0, err
 		}
-		res.Packets++
-		if refRes.Verdict != m.Result.Verdict {
-			diverge(k, "verdict: ref %v, cluster %v", refRes.Verdict, m.Result.Verdict)
-			return false
-		}
-		if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-			diverge(k, "dropped: ref %v, cluster %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-			return false
-		}
-		if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-			diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-				len(refPkts[k].Data()), len(fastPkts[k].Data()))
-			return false
-		}
-		return true
+		emit(0, m.Result, -1)
+		return 1, nil
 	}
+	err := s.cl.ProcessRuns(pkts, s.batch, s.pb, func(off int, ms []platform.Measurement) error {
+		for j, m := range ms {
+			if !emit(off+j, m.Result, -1) {
+				return errStopRun
+			}
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopRun) {
+		return 0, err
+	}
+	return len(pkts), nil
+}
 
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextScale < len(scales) && scales[nextScale].at <= i {
-			ev := scales[nextScale]
-			nextScale++
-			if serr := cl.ScaleTo(ev.target); serr != nil {
-				if !errors.Is(serr, cluster.ErrMigrationAborted) {
-					return fmt.Errorf("packet %d: scale to %d: %w", i, ev.target, serr)
-				}
-				// The rebalance rolled back whole; the cluster stays
-				// at a consistent intermediate size and the packet
-				// stream must not be able to tell.
-			}
-		}
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			idx := crashed % cl.Len()
-			crashed++
-			// The crashed engine's counters survive inside
-			// cl.Stats(): the cluster banks them on replacement.
-			if cerr := cl.CrashInstance(idx); cerr != nil {
-				return fmt.Errorf("packet %d: crash instance %d: %w", i, idx, cerr)
-			}
-			res.CrashRestores++
-		}
-		for next < len(plan) && plan[next].At <= i {
-			f := plan[next]
-			next++
-			if f.Restore {
-				_ = ref.lb.RestoreBackend(f.Backend)
-				_ = fast.lb.RestoreBackend(f.Backend)
-			} else {
-				_ = ref.lb.FailBackend(f.Backend)
-				_ = fast.lb.FailBackend(f.Backend)
-			}
-		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
-			}
-		}
-		end := i + 1
-		if pb != nil {
-			end = i + cfg.Batch
-			if end > len(refPkts) {
-				end = len(refPkts)
-			}
-			if nextScale < len(scales) && scales[nextScale].at < end {
-				end = scales[nextScale].at
-			}
-			if next < len(plan) && plan[next].At < end {
-				end = plan[next].At
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < end {
-				end = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < end {
-				end = crashes[nextCrash].At
-			}
-		}
-		agree := true
-		if pb != nil {
-			err := cl.ProcessRuns(fastPkts[i:end], cfg.Batch, pb, func(off int, ms []platform.Measurement) error {
-				for j, m := range ms {
-					if !compare(i+off+j, m) {
-						agree = false
-						return errClusterDiverged
-					}
-				}
-				return nil
-			})
-			if err != nil && !errors.Is(err, errClusterDiverged) {
-				return fmt.Errorf("packet %d: cluster batch: %w", i, err)
-			}
-		} else {
-			for k := i; k < end; k++ {
-				m, ferr := cl.Process(fastPkts[k])
-				if ferr != nil {
-					return fmt.Errorf("packet %d: cluster err %v", k, ferr)
-				}
-				if !compare(k, m) {
-					agree = false
-					break
-				}
-			}
-		}
-		if !agree {
-			break scan
-		}
-		i = end
-	}
+// errStopRun ends a batched cluster run once emit has stopped it.
+var errStopRun = errors.New("oracle: run stopped")
 
-	if ref.mon != nil {
-		if rc, fc := ref.mon.Totals(), fast.mon.Totals(); rc != fc {
-			diverge(-1, "monitor counters: ref %+v, cluster %+v", rc, fc)
-		}
-	}
-	if ref.ids != nil {
-		rl, fl := ref.ids.Logs(), fast.ids.Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, cluster %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), cluster (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
-				}
-			}
-		}
-	}
+// reconfigure applies the plan fleet-wide at a common packet boundary.
+// An aborted plan leaves every instance untouched: instance 0 decides
+// before the rest apply.
+func (s *clusterSystem) reconfigure(plan core.ChainPlan) error { return s.cl.Reconfigure(plan) }
 
-	bankStats(cl.Stats())
-	res.Injected += inj.InjectedTotal()
-	res.Migrations += cl.Migrations()
-	res.MigrationAborts += cl.Aborts()
-	res.Rebalances += cl.Rebalances()
+// crash kills one instance, rotating through the fleet, and restores
+// it from checkpoint plus WAL. The crashed engine's counters survive
+// inside cl.Stats(), and the cluster replays its own plan record.
+func (s *clusterSystem) crash([]planMaker) error {
+	idx := s.crashed % s.cl.Len()
+	s.crashed++
+	if err := s.cl.CrashInstance(idx); err != nil {
+		return fmt.Errorf("crash instance %d: %w", idx, err)
+	}
 	return nil
 }
 
-// errClusterDiverged aborts a batched sub-run after a recorded
-// divergence without surfacing a schedule error.
-var errClusterDiverged = errors.New("cluster oracle divergence")
+// scale resizes the fleet. A rebalance that an injected abort rolls
+// back leaves the cluster at a consistent intermediate size, and the
+// packet stream must not be able to tell.
+func (s *clusterSystem) scale(target int) error {
+	if err := s.cl.ScaleTo(target); err != nil && !errors.Is(err, cluster.ErrMigrationAborted) {
+		return fmt.Errorf("scale to %d: %w", target, err)
+	}
+	return nil
+}
+
+func (s *clusterSystem) chainNames() []string { return s.cl.Engine(0).ChainNames() }
+
+func (s *clusterSystem) nfs() []core.NF { return s.chainNF }
+
+func (s *clusterSystem) stats() core.Stats { return s.cl.Stats() }

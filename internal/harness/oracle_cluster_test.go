@@ -14,17 +14,7 @@ import (
 // or byte divergence across every rebalance. The run is vacuous
 // unless flows actually moved and rebalances actually completed.
 func TestOracleClusterEquivalence(t *testing.T) {
-	schedules := 60
-	if testing.Short() {
-		schedules = 10
-	}
-	res, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Cluster: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("cluster oracle failed:\n%s", res.Format())
-	}
+	res := mustPass(t, OracleConfig{Seed: 1, Schedules: short(60, 10), System: SystemCluster})
 	if res.Migrations == 0 {
 		t.Error("no flows migrated; the run was vacuous")
 	}
@@ -41,21 +31,9 @@ func TestOracleClusterEquivalence(t *testing.T) {
 // compared, faults injected, degradation counters, flows migrated —
 // must be identical to the scalar cluster run under the same seeds.
 func TestOracleClusterBatchEquivalence(t *testing.T) {
-	schedules := 40
-	if testing.Short() {
-		schedules = 8
-	}
-	batched, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Cluster: true, Batch: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !batched.Passed() {
-		t.Fatalf("batched cluster oracle failed:\n%s", batched.Format())
-	}
-	scalar, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Cluster: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	schedules := short(40, 8)
+	batched := mustPass(t, OracleConfig{Seed: 1, Schedules: schedules, System: SystemCluster, Batch: 32})
+	scalar := mustPass(t, OracleConfig{Seed: 1, Schedules: schedules, System: SystemCluster})
 	if batched.Packets != scalar.Packets || batched.Injected != scalar.Injected ||
 		batched.Fallbacks != scalar.Fallbacks || batched.Degraded != scalar.Degraded ||
 		batched.Migrations != scalar.Migrations || batched.Rebalances != scalar.Rebalances {
@@ -69,20 +47,10 @@ func TestOracleClusterBatchEquivalence(t *testing.T) {
 // cluster-wide live reconfigurations and instance crash-restores, all
 // interleaved with rebalances on the same trace.
 func TestOracleClusterComposed(t *testing.T) {
-	schedules := 30
-	if testing.Short() {
-		schedules = 6
-	}
-	res, err := RunOracle(OracleConfig{
-		Seed: 1, Schedules: schedules, Cluster: true,
+	res := mustPass(t, OracleConfig{
+		Seed: 1, Schedules: short(30, 6), System: SystemCluster,
 		Batch: 16, Reconfigs: 3, Crashes: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("composed cluster oracle failed:\n%s", res.Format())
-	}
 	if res.Migrations == 0 || res.Reconfigs == 0 || res.CrashRestores == 0 {
 		t.Errorf("vacuous composition: %d migrations, %d reconfigs, %d crashes",
 			res.Migrations, res.Reconfigs, res.CrashRestores)
@@ -96,15 +64,9 @@ func TestOracleClusterComposed(t *testing.T) {
 func TestOracleClusterAbortRollback(t *testing.T) {
 	rates := fault.UniformRates(0)
 	rates[fault.KindMigrationAbort] = 0.25
-	res, err := RunOracle(OracleConfig{
-		Seed: 1, Schedules: 20, Cluster: true, Rates: rates,
+	res := mustPass(t, OracleConfig{
+		Seed: 1, Schedules: 20, System: SystemCluster, Rates: rates,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("abort-heavy cluster oracle failed:\n%s", res.Format())
-	}
 	if res.MigrationAborts == 0 {
 		t.Error("no rebalances aborted; the rollback path never ran")
 	}
@@ -121,7 +83,7 @@ func TestOracleClusterAbortRollback(t *testing.T) {
 func TestOracleClusterCatchesTamperedMigration(t *testing.T) {
 	withRule := 0
 	res, err := RunOracle(OracleConfig{
-		Seed: 1, Schedules: 3, Cluster: true, Chain: 3,
+		Seed: 1, Schedules: 3, System: SystemCluster, Chain: 3,
 		Rates: fault.UniformRates(0),
 		TamperMigration: func(r *wal.MigrationRecord) {
 			if r.Rule != nil {
@@ -149,13 +111,7 @@ func TestOracleClusterCatchesTamperedMigration(t *testing.T) {
 // migrations on the stateless chain move whole consolidated rules and
 // must still be invisible to the packet stream.
 func TestOracleClusterStatelessChain(t *testing.T) {
-	res, err := RunOracle(OracleConfig{Seed: 7, Schedules: 10, Cluster: true, Chain: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("stateless-chain cluster oracle failed:\n%s", res.Format())
-	}
+	res := mustPass(t, OracleConfig{Seed: 7, Schedules: 10, System: SystemCluster, Chain: 3})
 	if res.Migrations == 0 {
 		t.Error("no migrations on the stateless chain")
 	}

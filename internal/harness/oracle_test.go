@@ -1,12 +1,18 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/fault"
+	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/mat"
+	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/trace"
+	"github.com/fastpathnfv/speedybox/internal/wal"
 )
 
 // TestOracleEquivalenceUnderFaults is the CI-sized differential run:
@@ -14,17 +20,7 @@ import (
 // zero divergences allowed, and the degradation machinery must
 // demonstrably engage (a run that injects nothing proves nothing).
 func TestOracleEquivalenceUnderFaults(t *testing.T) {
-	schedules := 60
-	if testing.Short() {
-		schedules = 10
-	}
-	res, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("oracle failed:\n%s", res.Format())
-	}
+	res := mustPass(t, OracleConfig{Seed: 1, Schedules: short(60, 10)})
 	if res.Injected == 0 {
 		t.Error("no faults injected; the run was vacuous")
 	}
@@ -45,24 +41,12 @@ func TestOracleEquivalenceUnderFaults(t *testing.T) {
 // seeded runs must also agree packet-for-packet with a scalar-fast-
 // engine oracle run (batching changes no observable outcome).
 func TestOracleBatchEquivalence(t *testing.T) {
-	schedules := 40
-	if testing.Short() {
-		schedules = 8
-	}
-	batched, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Batch: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !batched.Passed() {
-		t.Fatalf("batched oracle failed:\n%s", batched.Format())
-	}
+	schedules := short(40, 8)
+	batched := mustPass(t, OracleConfig{Seed: 1, Schedules: schedules, Batch: 32})
 	if batched.Injected == 0 || batched.Fallbacks == 0 {
 		t.Error("vacuous batched run: no faults or no fallbacks")
 	}
-	scalar, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules})
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar := mustPass(t, OracleConfig{Seed: 1, Schedules: schedules})
 	if batched.Packets != scalar.Packets || batched.Injected != scalar.Injected ||
 		batched.Fallbacks != scalar.Fallbacks || batched.Degraded != scalar.Degraded ||
 		batched.Recoveries != scalar.Recoveries {
@@ -142,18 +126,8 @@ func TestOracleCatchesCorruptedRewrite(t *testing.T) {
 // contract — and at least some plans must actually land for the run to
 // count.
 func TestOracleReconfigEquivalence(t *testing.T) {
-	schedules := 30
-	if testing.Short() {
-		schedules = 6
-	}
 	for _, batch := range []int{0, 32} {
-		res, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Reconfigs: 3, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Passed() {
-			t.Fatalf("reconfig oracle (batch=%d) failed:\n%s", batch, res.Format())
-		}
+		res := mustPass(t, OracleConfig{Seed: 1, Schedules: short(30, 6), Reconfigs: 3, Batch: batch})
 		if res.Reconfigs == 0 {
 			t.Errorf("batch=%d: no reconfigurations applied; the run was vacuous", batch)
 		}
@@ -197,18 +171,8 @@ func TestOracleCatchesBrokenReconfig(t *testing.T) {
 // from the uninterrupted reference. Closure-bearing rules cannot
 // survive a restore, so their flows must transparently re-record.
 func TestOracleCrashRestoreEquivalence(t *testing.T) {
-	schedules := 30
-	if testing.Short() {
-		schedules = 6
-	}
 	for _, batch := range []int{0, 32} {
-		res, err := RunOracle(OracleConfig{Seed: 1, Schedules: schedules, Crashes: 2, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Passed() {
-			t.Fatalf("crash oracle (batch=%d) failed:\n%s", batch, res.Format())
-		}
+		res := mustPass(t, OracleConfig{Seed: 1, Schedules: short(30, 6), Crashes: 2, Batch: batch})
 		if res.CrashRestores == 0 {
 			t.Errorf("batch=%d: no crash/restore cycles; the run was vacuous", batch)
 		}
@@ -224,35 +188,117 @@ func TestOracleCrashRestoreEquivalence(t *testing.T) {
 // plans) and come back under the correct epoch, or rules consolidated
 // before a reconfiguration would serve after it.
 func TestOracleCrashWithReconfigs(t *testing.T) {
-	schedules := 20
-	if testing.Short() {
-		schedules = 4
-	}
-	res, err := RunOracle(OracleConfig{Seed: 5, Schedules: schedules, Crashes: 2, Reconfigs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("crash+reconfig oracle failed:\n%s", res.Format())
-	}
+	res := mustPass(t, OracleConfig{Seed: 5, Schedules: short(20, 4), Crashes: 2, Reconfigs: 3})
 	if res.CrashRestores == 0 || res.Reconfigs == 0 {
 		t.Errorf("vacuous run: crashes=%d reconfigs=%d", res.CrashRestores, res.Reconfigs)
 	}
 }
 
-// TestOracleDeterministic re-runs the same seed and expects identical
-// aggregate behaviour — the whole point of seeded schedules.
+// TestOracleDeterministic re-runs the same seed on every system and
+// expects the identical result — every counter, migrations and
+// rebalances included — which is the whole point of seeded schedules.
 func TestOracleDeterministic(t *testing.T) {
-	run := func() *OracleResult {
-		res, err := RunOracle(OracleConfig{Seed: 7, Schedules: 6})
+	for _, sys := range []System{SystemEngine, SystemTopology, SystemCluster} {
+		run := func() *OracleResult {
+			res, err := RunOracle(OracleConfig{Seed: 7, Schedules: 6, System: sys, Reconfigs: 2, Crashes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("system %d: equal seeds diverged: %+v vs %+v", sys, a, b)
+		}
+	}
+}
+
+// TestOracleRejectsMisconfiguration covers the settings a system would
+// otherwise silently ignore.
+func TestOracleRejectsMisconfiguration(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  OracleConfig
+	}{
+		{"unknown system", OracleConfig{System: SystemCluster + 1}},
+		{"route tamper on engine", OracleConfig{TamperRoute: func(_ *packet.Packet, c int) int { return c }}},
+		{"route tamper on cluster", OracleConfig{System: SystemCluster, TamperRoute: func(_ *packet.Packet, c int) int { return c }}},
+		{"migration tamper on engine", OracleConfig{TamperMigration: func(*wal.MigrationRecord) {}}},
+		{"migration tamper on topology", OracleConfig{System: SystemTopology, TamperMigration: func(*wal.MigrationRecord) {}}},
+		{"rule tamper on cluster", OracleConfig{System: SystemCluster, TamperRule: func(*mat.GlobalRule) {}}},
+		{"reconfig tamper on topology", OracleConfig{System: SystemTopology, TamperReconfig: func(*core.Engine, []*mat.GlobalRule) {}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Schedules = 1
+			if _, err := RunOracle(tc.cfg); err == nil {
+				t.Error("misconfigured oracle ran")
+			}
+		})
+	}
+}
+
+// TestCompareNFStateCoversEachNF proves the end-of-trace comparator
+// reads every state-bearing NF of the oracle chains: a fast side that
+// ran a trace the reference never saw, with one backend failed, must
+// be reported for each of them.
+func TestCompareNFStateCoversEachNF(t *testing.T) {
+	tr, err := trace.Generate(trace.Config{Seed: 1, Flows: 24, AlertFraction: 0.15, LogFraction: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for chain, want := range map[int]string{
+		1: "monitor counters|monitor tracked flows|maglev backend health|maglev backend of|mazunat mappings",
+		2: "monitor counters|monitor tracked flows|snort logs",
+	} {
+		ref, err := buildOracleChain(chain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		fast, err := newEngineSystem(chain, core.DefaultOptions(), OracleConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fids []flow.FID
+		for _, pkt := range tr.Packets() {
+			if _, err := fast.process([]*packet.Packet{pkt}, func(_ int, r *core.PacketResult, _ int) bool {
+				fids = append(fids, r.FID)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lb := maglevIn(fast.nfs()); lb != nil && lb.FailBackend(0) != nil {
+			t.Fatal("FailBackend(0) failed")
+		}
+		var got string
+		compareNFState(ref, fast.nfs(), fids, func(_ int, format string, args ...any) {
+			got += "\n" + fmt.Sprintf(format, args...)
+		})
+		for _, d := range strings.Split(want, "|") {
+			if !strings.Contains(got, "\n"+d) {
+				t.Errorf("chain %d: no %q divergence in:%s", chain, d, got)
+			}
+		}
 	}
-	a, b := run(), run()
-	if a.Packets != b.Packets || a.Injected != b.Injected ||
-		a.Fallbacks != b.Fallbacks || a.Recoveries != b.Recoveries {
-		t.Errorf("equal seeds diverged: %+v vs %+v", a, b)
+}
+
+// short picks a schedule count for full or -short runs.
+func short(full, short int) int {
+	if testing.Short() {
+		return short
 	}
+	return full
+}
+
+// mustPass runs the oracle and stops the test unless every schedule
+// agreed.
+func mustPass(t *testing.T, cfg OracleConfig) *OracleResult {
+	t.Helper()
+	res, err := RunOracle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() {
+		t.Fatalf("oracle (system %d, batch %d) failed:\n%s", cfg.System, cfg.Batch, res.Format())
+	}
+	return res
 }

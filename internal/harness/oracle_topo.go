@@ -1,15 +1,10 @@
 package harness
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"github.com/fastpathnfv/speedybox/internal/chainspec"
 	"github.com/fastpathnfv/speedybox/internal/core"
-	"github.com/fastpathnfv/speedybox/internal/fault"
-	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
-	"github.com/fastpathnfv/speedybox/internal/nf/snort"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/topo"
 	"github.com/fastpathnfv/speedybox/internal/trace"
@@ -22,10 +17,11 @@ import (
 // three tenants with deliberately tight quotas. Every packet runs
 // through the fast topology (SpeedyBox engines, fault injector, tenant
 // admission) and through a pure slow-path reference topology built
-// from the same spec, in lockstep; admission denials must never change
-// a verdict, reconfigurations and crash-restores on one chain must
-// never leak into another, and the shared NF must accumulate the
-// identical state either way.
+// from the same spec, in lockstep, and must take the same chain on
+// both; admission denials must never change a verdict,
+// reconfigurations and crash-restores on one chain must never leak
+// into another, and the shared NF must accumulate the identical state
+// either way.
 
 // Per-chain service ports of the fixed oracle topology.
 const (
@@ -104,251 +100,124 @@ func topoTrace(seed int64, flows int) ([]*packet.Packet, error) {
 	}
 }
 
-// cloneAll deep-copies a packet slice so the reference and the fast
-// topology each consume an independent stream.
-func cloneAll(pkts []*packet.Packet) []*packet.Packet {
-	out := make([]*packet.Packet, len(pkts))
-	for i, p := range pkts {
-		out[i] = p.Clone()
+// topoSystem is the oracle topology: per-chain engines behind the
+// policy classifier, sharing NF instances by name.
+type topoSystem struct {
+	opts    core.Options
+	target  int
+	batch   int
+	tamper  func(pkt *packet.Packet, chain int) int
+	t       *topo.Topology
+	batches []*core.Batch
+	retired core.Stats
+}
+
+// newTopoSystem builds the oracle topology; reconfigurations go to the
+// target chain. cfg supplies the batch size and the route tamper; the
+// reference passes the zero config.
+func newTopoSystem(opts core.Options, target int, cfg OracleConfig) (*topoSystem, error) {
+	s := &topoSystem{opts: opts, target: target, batch: cfg.Batch, tamper: cfg.TamperRoute}
+	t, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	s.t, s.batches = t, make([]*core.Batch, t.NumChains())
+	return s, nil
+}
+
+func (s *topoSystem) build() (*topo.Topology, error) {
+	t, err := topo.Build(topoOracleSpec(), topo.BuildConfig{Options: s.opts})
+	if err != nil {
+		return nil, err
+	}
+	t.TamperRoute = s.tamper
+	return t, nil
+}
+
+// process runs one packet, or one same-chain vector: vectors are
+// clipped at chain boundaries, so one engine runs each.
+func (s *topoSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error) {
+	chain := s.t.Route(pkts[0])
+	eng := s.t.Engine(chain)
+	if s.batch <= 1 {
+		r, err := eng.ProcessPacket(pkts[0])
+		if err != nil {
+			return 0, err
+		}
+		emit(0, r, chain)
+		return 1, nil
+	}
+	end := 1
+	for end < len(pkts) && s.t.Route(pkts[end]) == chain {
+		end++
+	}
+	if s.batches[chain] == nil {
+		s.batches[chain] = core.NewBatch(s.batch)
+	}
+	results, err := eng.ProcessBatch(pkts[:end], s.batches[chain])
+	if err != nil {
+		return 0, err
+	}
+	for k, r := range results {
+		if !emit(k, r, chain) {
+			break
+		}
+	}
+	return end, nil
+}
+
+func (s *topoSystem) reconfigure(plan core.ChainPlan) error {
+	return s.t.Engine(s.target).Reconfigure(plan)
+}
+
+// crash kills the whole topology: every chain engine is checkpointed
+// at the kill point, the topology (shared NFs included) is rebuilt from
+// the spec, surviving reconfigurations replay onto the target chain,
+// and RestoreAll rehydrates each engine.
+func (s *topoSystem) crash(applied []planMaker) error {
+	cps, err := s.t.CheckpointAll()
+	if err != nil {
+		return fmt.Errorf("crash checkpoint: %w", err)
+	}
+	for i := 0; i < s.t.NumChains(); i++ {
+		s.retired.Add(s.t.Engine(i).Stats())
+	}
+	t, err := s.build()
+	if err != nil {
+		return err
+	}
+	if err := replayPlans(s.opts.Faults, applied, t.Engine(s.target).Reconfigure); err != nil {
+		return err
+	}
+	if err := t.RestoreAll(cps); err != nil {
+		return fmt.Errorf("crash restore: %w", err)
+	}
+	s.t = t
+	return nil
+}
+
+func (s *topoSystem) chainNames() []string { return s.t.Engine(s.target).ChainNames() }
+
+// nfs lists the topology's own NF instances, each shared one once;
+// NFs a reconfiguration inserted are not in its registry.
+func (s *topoSystem) nfs() []core.NF {
+	var out []core.NF
+	seen := make(map[string]bool)
+	for i := 0; i < s.t.NumChains(); i++ {
+		for _, name := range s.t.Engine(i).ChainNames() {
+			if nf := s.t.NF(name); nf != nil && !seen[name] {
+				seen[name] = true
+				out = append(out, nf)
+			}
+		}
 	}
 	return out
 }
 
-// runTopoSchedule replays one fault schedule through the fast topology
-// and its pure slow-path reference.
-func runTopoSchedule(cfg OracleConfig, sched int, seed int64, rates map[fault.Kind]float64, res *OracleResult) error {
-	spec := topoOracleSpec()
-	pkts, err := topoTrace(seed, cfg.Flows)
-	if err != nil {
-		return err
+func (s *topoSystem) stats() core.Stats {
+	st := s.retired
+	for i := 0; i < s.t.NumChains(); i++ {
+		st.Add(s.t.Engine(i).Stats())
 	}
-	refPkts, fastPkts := cloneAll(pkts), cloneAll(pkts)
-
-	refTopo, err := topo.Build(spec, topo.BuildConfig{Options: core.BaselineOptions()})
-	if err != nil {
-		return err
-	}
-	inj := fault.New(fault.Config{Seed: seed, Rates: rates})
-	fastOpts := core.DefaultOptions()
-	fastOpts.Faults = inj
-	fastTopo, err := topo.Build(spec, topo.BuildConfig{Options: fastOpts})
-	if err != nil {
-		return err
-	}
-	fastTopo.TamperRoute = cfg.TamperRoute
-
-	diverge := func(pkt int, format string, args ...any) {
-		res.Divergences = append(res.Divergences, OracleDivergence{
-			Schedule: sched, Seed: seed, Packet: pkt,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	// Reconfigurations target one chain per schedule, rotating across
-	// schedules; the same plans apply to the reference chain at the
-	// same packet indices.
-	target := sched % fastTopo.NumChains()
-	var reEvents []reconfigEvent
-	if cfg.Reconfigs > 0 {
-		names := chainNamesOf(spec.Chains[target])
-		reEvents = buildReconfigEvents(seed, cfg.Reconfigs, len(refPkts), names)
-	}
-	nextRe := 0
-	var appliedRe []reconfigEvent
-	applyReconfig := func(ev reconfigEvent) error {
-		fastPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if ferr := fastTopo.Engine(target).Reconfigure(fastPlan); ferr != nil {
-			if errors.Is(ferr, core.ErrReconfigAborted) {
-				res.ReconfigAborts++
-			}
-			return nil
-		}
-		refPlan, err := ev.mk()
-		if err != nil {
-			return err
-		}
-		if rerr := refTopo.Engine(target).Reconfigure(refPlan); rerr != nil {
-			return fmt.Errorf("reference reconfigure (%s): %v", refPlan, rerr)
-		}
-		res.Reconfigs++
-		appliedRe = append(appliedRe, ev)
-		return nil
-	}
-
-	var crashes []fault.Crash
-	if cfg.Crashes > 0 {
-		inj.SetRate(fault.KindCrashRestore, float64(cfg.Crashes-1)/4+0.05)
-		crashes = inj.CrashPlan(len(refPkts))
-	}
-	nextCrash := 0
-
-	// crashRestore kills the whole fast topology: every chain engine
-	// is checkpointed at the kill point, the topology (shared NFs
-	// included) is rebuilt from the spec, surviving reconfigurations
-	// replay onto the target chain, and RestoreAll rehydrates each
-	// engine. The reference runs on uninterrupted.
-	crashRestore := func() error {
-		cps, err := fastTopo.CheckpointAll()
-		if err != nil {
-			return fmt.Errorf("crash checkpoint: %w", err)
-		}
-		for i := 0; i < fastTopo.NumChains(); i++ {
-			st := fastTopo.Engine(i).Stats()
-			res.Fallbacks += st.SlowPathFallbacks
-			res.Degraded += st.DegradedPackets
-			res.Recoveries += st.FaultRecoveries
-		}
-		ntopo, err := topo.Build(spec, topo.BuildConfig{Options: fastOpts})
-		if err != nil {
-			return err
-		}
-		abortRate := inj.Rate(fault.KindReconfigAbort)
-		inj.SetRate(fault.KindReconfigAbort, 0)
-		for _, ev := range appliedRe {
-			plan, err := ev.mk()
-			if err != nil {
-				return err
-			}
-			if rerr := ntopo.Engine(target).Reconfigure(plan); rerr != nil {
-				return fmt.Errorf("crash rebuild reconfigure (%s): %v", plan, rerr)
-			}
-		}
-		inj.SetRate(fault.KindReconfigAbort, abortRate)
-		if err := ntopo.RestoreAll(cps); err != nil {
-			return fmt.Errorf("crash restore: %w", err)
-		}
-		ntopo.TamperRoute = cfg.TamperRoute
-		fastTopo = ntopo
-		res.CrashRestores++
-		return nil
-	}
-
-	batches := make([]*core.Batch, fastTopo.NumChains())
-
-	i := 0
-scan:
-	for i < len(refPkts) {
-		for nextCrash < len(crashes) && crashes[nextCrash].At <= i {
-			nextCrash++
-			if err := crashRestore(); err != nil {
-				return fmt.Errorf("packet %d: %w", i, err)
-			}
-		}
-		for nextRe < len(reEvents) && reEvents[nextRe].at <= i {
-			ev := reEvents[nextRe]
-			nextRe++
-			if err := applyReconfig(ev); err != nil {
-				return err
-			}
-		}
-		// One packet, or one same-chain vector clipped at the next
-		// reconfiguration or crash index and at chain boundaries, so
-		// every packet of a batch observes the same topology state as
-		// its scalar reference twin.
-		chain := fastTopo.Route(fastPkts[i])
-		end := i + 1
-		if cfg.Batch > 1 {
-			lim := i + cfg.Batch
-			if lim > len(refPkts) {
-				lim = len(refPkts)
-			}
-			if nextRe < len(reEvents) && reEvents[nextRe].at < lim {
-				lim = reEvents[nextRe].at
-			}
-			if nextCrash < len(crashes) && crashes[nextCrash].At < lim {
-				lim = crashes[nextCrash].At
-			}
-			for end < lim && fastTopo.Route(fastPkts[end]) == chain {
-				end++
-			}
-		}
-		var fastResults []*core.PacketResult
-		if cfg.Batch > 1 {
-			if batches[chain] == nil {
-				batches[chain] = core.NewBatch(cfg.Batch)
-			}
-			fastResults, err = fastTopo.Engine(chain).ProcessBatch(fastPkts[i:end], batches[chain])
-			if err != nil {
-				return fmt.Errorf("packet %d: fast batch err %v", i, err)
-			}
-		}
-		for k := i; k < end; k++ {
-			refRes, refChain, refErr := refTopo.Process(refPkts[k])
-			var fastRes *core.PacketResult
-			var fastErr error
-			if fastResults != nil {
-				fastRes = fastResults[k-i]
-			} else {
-				fastRes, fastErr = fastTopo.Engine(chain).ProcessPacket(fastPkts[k])
-			}
-			if refErr != nil || fastErr != nil {
-				return fmt.Errorf("packet %d: ref err %v, fast err %v", k, refErr, fastErr)
-			}
-			_ = refChain
-			res.Packets++
-			if refRes.Verdict != fastRes.Verdict {
-				diverge(k, "verdict: ref %v, fast %v", refRes.Verdict, fastRes.Verdict)
-				break scan
-			}
-			if refPkts[k].Dropped() != fastPkts[k].Dropped() {
-				diverge(k, "dropped: ref %v, fast %v", refPkts[k].Dropped(), fastPkts[k].Dropped())
-				break scan
-			}
-			if !refPkts[k].Dropped() && !bytes.Equal(refPkts[k].Data(), fastPkts[k].Data()) {
-				diverge(k, "rewritten bytes differ (%d vs %d bytes)",
-					len(refPkts[k].Data()), len(fastPkts[k].Data()))
-				break scan
-			}
-		}
-		i = end
-	}
-
-	// End-of-trace shared-NF observables: the monitor instance every
-	// chain shares and the web chain's IDS must have accumulated the
-	// identical state down both topologies.
-	if rm, fm := refTopo.NF("mon"), fastTopo.NF("mon"); rm != nil && fm != nil {
-		if rc, fc := rm.(*monitor.Monitor).Totals(), fm.(*monitor.Monitor).Totals(); rc != fc {
-			diverge(-1, "shared monitor counters: ref %+v, fast %+v", rc, fc)
-		}
-	}
-	if ri, fi := refTopo.NF("ids"), fastTopo.NF("ids"); ri != nil && fi != nil {
-		rl, fl := ri.(*snort.Snort).Logs(), fi.(*snort.Snort).Logs()
-		if len(rl) != len(fl) {
-			diverge(-1, "snort logs: ref %d entries, fast %d", len(rl), len(fl))
-		} else {
-			for j := range rl {
-				if rl[j].RuleID != fl[j].RuleID || rl[j].Type != fl[j].Type {
-					diverge(-1, "snort log %d: ref (%d,%v), fast (%d,%v)",
-						j, rl[j].RuleID, rl[j].Type, fl[j].RuleID, fl[j].Type)
-					break
-				}
-			}
-		}
-	}
-
-	for i := 0; i < fastTopo.NumChains(); i++ {
-		st := fastTopo.Engine(i).Stats()
-		res.Fallbacks += st.SlowPathFallbacks
-		res.Degraded += st.DegradedPackets
-		res.Recoveries += st.FaultRecoveries
-	}
-	res.Injected += inj.InjectedTotal()
-	return nil
-}
-
-// chainNamesOf resolves the instance names a topo chain spec produces,
-// mirroring topo.Build's naming (explicit name, else "chain.typeN").
-func chainNamesOf(cs topo.ChainSpec) []string {
-	names := make([]string, len(cs.NFs))
-	for i, n := range cs.NFs {
-		if n.Name != "" {
-			names[i] = n.Name
-		} else {
-			names[i] = fmt.Sprintf("%s.%s%d", cs.Name, n.Type, i+1)
-		}
-	}
-	return names
+	return st
 }
