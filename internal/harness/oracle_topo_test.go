@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/fault"
@@ -61,5 +62,20 @@ func TestTopoOracleCatchesMisclassification(t *testing.T) {
 	}
 	if res.Passed() {
 		t.Fatal("topo oracle passed a deliberately mis-classified flow")
+	}
+}
+
+// TestTopoOracleDeterministic re-runs one topology seed and expects the
+// identical result.
+func TestTopoOracleDeterministic(t *testing.T) {
+	run := func() *OracleResult {
+		res, err := RunOracle(OracleConfig{Seed: 7, Schedules: 6, System: SystemTopology})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Errorf("equal seeds diverged: %+v vs %+v", a, b)
 	}
 }
