@@ -393,8 +393,8 @@ func fastTrace(b *testing.B) []*speedybox.Packet {
 	return tr.Packets()
 }
 
-// BenchmarkFastPath is the scalar half of the batching comparison: one
-// Process call per packet of a pre-built, replayable trace on the
+// BenchmarkFastPath is the one-packet half of the batching comparison:
+// one Process call (a vector of one) per packet of a pre-built, replayable trace on the
 // dispatch-dominated 3-IPFilter chain (no regex, no payload work — the
 // measurement isolates classification, rule lookup and accounting).
 // b.N counts packets, so ns/op and allocs/op read per packet.

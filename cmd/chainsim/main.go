@@ -212,8 +212,7 @@ func run(args []string) error {
 			return err
 		}
 		var res *speedybox.RunResult
-		switch {
-		case *workers > 1:
+		if *workers > 1 {
 			var mq *speedybox.MultiQueue
 			mq, err = speedybox.NewMultiQueue(p, *workers)
 			if err != nil {
@@ -222,10 +221,8 @@ func run(args []string) error {
 			}
 			mq.SetBatchSize(*batch)
 			res, err = mq.Run(pktsFor())
-		case *batch > 1:
-			res, err = speedybox.RunBatch(p, pktsFor(), *batch, nil)
-		default:
-			res, err = speedybox.Run(p, pktsFor())
+		} else {
+			res, err = speedybox.RunBatch(p, pktsFor(), max(*batch, 1), nil)
 		}
 		if err == nil && enabled && *dumpRules {
 			fmt.Printf("\nGlobal MAT (%d rules):\n%s\n", p.Engine().Global().Len(), p.Engine().Global().Dump())

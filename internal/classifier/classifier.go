@@ -188,13 +188,13 @@ func (c *Classifier) Teardown(fid flow.FID) bool {
 // far.
 func (c *Classifier) Now() uint64 { return c.seq.Load() }
 
-// SeqClock exposes the logical clock itself. The batched data path
+// SeqClock exposes the logical clock itself. The engine's data path
 // ticks it directly for cache-classified packets, bypassing the full
-// state machine while producing the exact per-packet values scalar
+// state machine while producing the exact per-packet values full
 // classification would. Ticks must stay one-per-packet in arrival
 // order: degradation-ladder deadlines are expressed in these ticks, so
 // a clock that runs ahead of processing would skew backoff decisions
-// relative to the scalar reference.
+// relative to the one-packet reference.
 func (c *Classifier) SeqClock() *atomic.Uint64 { return &c.seq }
 
 // RestoreClock forces the logical clock forward to at least v. A

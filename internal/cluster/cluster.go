@@ -59,7 +59,7 @@ type Config struct {
 
 // instance is one engine behind the steerer. Its RWMutex is the
 // migration drain gate: the data path holds the read side for exactly
-// one Process/ProcessBatch call, so a rebalancer taking the write side
+// one ProcessBatch call, so a rebalancer taking the write side
 // observes a packet boundary — every in-flight packet has fully
 // drained, every batch worker's folded bookkeeping is flushed.
 type instance struct {
@@ -269,32 +269,12 @@ func (c *Cluster) Aborts() uint64 { return c.aborts.Load() }
 // Rebalances returns how many rebalances completed.
 func (c *Cluster) Rebalances() uint64 { return c.rebalances.Load() }
 
-// Process steers one packet to its owning instance and runs it. If a
-// rebalance races the routing decision, the packet waits at the
-// instance's drain gate and re-routes against the new view — it is
-// buffered, never dropped, and never processed by a stale owner.
-func (c *Cluster) Process(pkt *packet.Packet) (platform.Measurement, error) {
-	for {
-		v := c.cur.Load()
-		in := v.insts[v.route(pkt)]
-		in.mu.RLock()
-		if c.cur.Load() != v {
-			// A rebalance published a new view after we routed: our
-			// owner decision may be stale, so re-route. (The rebalance
-			// held every instance's write lock, so it cannot have
-			// overlapped a packet we were already processing.)
-			in.mu.RUnlock()
-			continue
-		}
-		m, err := in.plat.Process(pkt)
-		in.mu.RUnlock()
-		return m, err
-	}
-}
-
 // ProcessRuns feeds pkts through the cluster in arrival order,
 // splitting the stream into maximal same-instance runs of at most
-// batchSize and draining each through the owner's batched path. fold,
+// batchSize and draining each through the owner's ProcessBatch. If a
+// rebalance races a routing decision, the run waits at the owner's
+// drain gate and re-routes against the new view — it is buffered,
+// never dropped, and never processed by a stale owner. fold,
 // when non-nil, runs after each sub-run while its measurements are
 // still valid (they point into b, which the next run reuses). One
 // Batch serves every instance: all of its caches are generation-
@@ -315,8 +295,12 @@ func (c *Cluster) ProcessRuns(pkts []*packet.Packet, batchSize int, b *platform.
 		in := v.insts[idx]
 		in.mu.RLock()
 		if c.cur.Load() != v {
+			// A rebalance published a new view after we routed: the
+			// owner decision may be stale, so re-route. (The rebalance
+			// held every instance's write lock, so it cannot have
+			// overlapped a run already in progress.)
 			in.mu.RUnlock()
-			continue // view changed; re-route this run
+			continue
 		}
 		ms, err := in.plat.ProcessBatch(pkts[off:end], b)
 		if err != nil {
@@ -401,14 +385,7 @@ func (c *Cluster) Run(pkts []*packet.Packet, workers, batchSize int) (*platform.
 	}
 	total := platform.NewRunResult(c.Model())
 	for w, res := range results {
-		total.Packets += res.Packets
-		total.Drops += res.Drops
-		total.WorkCycles = append(total.WorkCycles, res.WorkCycles...)
-		total.Latencies = append(total.Latencies, res.Latencies...)
-		total.Bottlenecks = append(total.Bottlenecks, res.Bottlenecks...)
-		for fid, cyc := range res.FlowCycles {
-			total.FlowCycles[fid] += cyc
-		}
+		total.Merge(res)
 		total.QueueDepths = append(total.QueueDepths, len(queues[w]))
 	}
 	total.Stats = c.Stats()

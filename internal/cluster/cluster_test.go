@@ -16,6 +16,7 @@ import (
 	"github.com/fastpathnfv/speedybox/internal/nf/ipfilter"
 	"github.com/fastpathnfv/speedybox/internal/nf/monitor"
 	"github.com/fastpathnfv/speedybox/internal/packet"
+	"github.com/fastpathnfv/speedybox/internal/platform"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
 	"github.com/fastpathnfv/speedybox/internal/trace"
 	"github.com/fastpathnfv/speedybox/internal/wal"
@@ -96,7 +97,11 @@ func data(f int, seq uint32) *packet.Packet {
 func compare(t *testing.T, cl *Cluster, ref *core.Engine, mk func() *packet.Packet, tag string) {
 	t.Helper()
 	cp, rp := mk(), mk()
-	m, err := cl.Process(cp)
+	var got core.Verdict
+	err := cl.ProcessRuns([]*packet.Packet{cp}, 1, platform.NewBatch(1), func(_ int, ms []platform.Measurement) error {
+		got = ms[0].Result.Verdict
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("%s: cluster: %v", tag, err)
 	}
@@ -104,8 +109,8 @@ func compare(t *testing.T, cl *Cluster, ref *core.Engine, mk func() *packet.Pack
 	if err != nil {
 		t.Fatalf("%s: reference: %v", tag, err)
 	}
-	if m.Result.Verdict != rr.Verdict {
-		t.Fatalf("%s: verdict cluster %v, ref %v", tag, m.Result.Verdict, rr.Verdict)
+	if got != rr.Verdict {
+		t.Fatalf("%s: verdict cluster %v, ref %v", tag, got, rr.Verdict)
 	}
 	if cp.Dropped() != rp.Dropped() {
 		t.Fatalf("%s: dropped cluster %v, ref %v", tag, cp.Dropped(), rp.Dropped())

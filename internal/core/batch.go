@@ -16,7 +16,7 @@ const DefaultBatchSize = 32
 // ruleCacheWays is the associativity of the per-worker rule cache.
 // Four entries cover the handful of flows interleaved within one
 // 32-packet vector of a realistic trace; a miss only costs the sharded
-// map lookup the scalar path always pays.
+// map lookup.
 const ruleCacheWays = 4
 
 // ruleCacheEntry caches what the data path learns about one flow:
@@ -37,11 +37,11 @@ type ruleCacheEntry struct {
 // Global MAT and Event Table (the paper's DPDK prototype keeps the
 // analogous last-rule pointer in each lcore's local storage). It must
 // not be shared between goroutines; each batch worker owns one inside
-// its Batch. Correctness does not depend on the cache: every hit is
-// revalidated against the source table's generation with one atomic
-// load, so any Install, Remove, MarkStale or event Register anywhere
-// invalidates all caches, and a stale check simply falls back to the
-// locked lookup the scalar path performs.
+// its Batch, and the ONVM manager core owns its own. Correctness does
+// not depend on the cache: every hit is revalidated against the source
+// table's generation with one atomic load, so any Install, Remove,
+// MarkStale or event Register anywhere invalidates all caches, and a
+// stale check simply falls back to the locked lookup.
 type RuleCache struct {
 	entries [ruleCacheWays]ruleCacheEntry
 	clock   uint8
@@ -88,16 +88,13 @@ func (rc *RuleCache) putNoEvents(fid flow.FID, evGen uint64) {
 	en.evGen = evGen
 }
 
-// lookupRule is LookupLive behind the optional per-worker cache: a
+// lookupRule is LookupLive behind the per-worker cache: a
 // generation-valid hit returns the cached rule pointer without
 // touching the sharded map; a miss performs the locked lookup and
 // caches the result stamped with the generation read *before* the
 // lookup, so a racing mutation can only make the entry conservatively
 // stale, never serve a rule newer than its stamp.
 func (e *Engine) lookupRule(fid flow.FID, rc *RuleCache) (*mat.GlobalRule, bool) {
-	if rc == nil {
-		return e.global.LookupLive(fid)
-	}
 	gen := e.global.Gen()
 	if en := rc.find(fid); en != nil && en.hasRule && en.ruleGen == gen {
 		return en.rule, true
@@ -112,14 +109,76 @@ func (e *Engine) lookupRule(fid flow.FID, rc *RuleCache) (*mat.GlobalRule, bool)
 	return rule, ok
 }
 
-// statsDelta accumulates one shard's counter increments across a batch
-// in plain (non-atomic) fields; flushStats folds each non-zero delta
-// into the shared shard with one atomic add per touched counter,
-// instead of the scalar path's several atomic adds per packet.
+// statsDelta accumulates one shard's counter increments in plain
+// (non-atomic) fields; fold adds each non-zero delta into the shared
+// shard with one atomic add per touched counter, so a vector pays a
+// few atomic adds per shard instead of several per packet.
 type statsDelta struct {
 	packets, initial, subsequent, handshake, final uint64
 	fastPath, slowPath, dropped                    uint64
 	eventsFired, consolidations                    uint64
+}
+
+// add counts one finished packet.
+func (d *statsDelta) add(res *PacketResult) {
+	d.packets++
+	switch res.Kind {
+	case classifier.KindInitial:
+		d.initial++
+	case classifier.KindSubsequent:
+		d.subsequent++
+	case classifier.KindHandshake:
+		d.handshake++
+	case classifier.KindFinal:
+		d.final++
+	}
+	if res.Path == PathFast {
+		d.fastPath++
+	} else {
+		d.slowPath++
+	}
+	if res.Verdict == VerdictDrop {
+		d.dropped++
+	}
+	if res.Fast != nil {
+		d.eventsFired += uint64(res.Fast.EventsFired)
+	}
+	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
+		d.consolidations++
+	}
+}
+
+// fold adds the delta into the shard's counters and clears it.
+func (s *statsShard) fold(d *statsDelta) {
+	s.packets.Add(d.packets)
+	if d.initial != 0 {
+		s.initial.Add(d.initial)
+	}
+	if d.subsequent != 0 {
+		s.subsequent.Add(d.subsequent)
+	}
+	if d.handshake != 0 {
+		s.handshake.Add(d.handshake)
+	}
+	if d.final != 0 {
+		s.final.Add(d.final)
+	}
+	if d.fastPath != 0 {
+		s.fastPath.Add(d.fastPath)
+	}
+	if d.slowPath != 0 {
+		s.slowPath.Add(d.slowPath)
+	}
+	if d.dropped != 0 {
+		s.dropped.Add(d.dropped)
+	}
+	if d.eventsFired != 0 {
+		s.eventsFired.Add(d.eventsFired)
+	}
+	if d.consolidations != 0 {
+		s.consolidations.Add(d.consolidations)
+	}
+	*d = statsDelta{}
 }
 
 // flowCacheWays is the associativity of the per-worker flow-handle
@@ -158,15 +217,15 @@ func (sl *flowSlot) flush() {
 	sl.dPkts, sl.dBytes, sl.dirty = 0, 0, false
 }
 
-// Batch is the per-worker scratch state of the batched data path: the
+// Batch is the per-worker scratch state of the data path: the
 // rule and flow-handle caches, preallocated result storage, the
 // per-packet classification scratch (structure-of-arrays, so the
 // classify and process loops each stream through contiguous memory),
 // and the counter-fold buffers. A Batch must not be shared between
-// goroutines (each MultiQueue worker, and the ONVM manager, owns one);
-// results returned by ProcessBatch point into the
-// Batch's storage and are valid only until the next call on the same
-// Batch.
+// goroutines (each MultiQueue worker owns one, and ProcessPacket draws
+// one from a per-engine pool); results returned by ProcessBatch point
+// into the Batch's storage and are valid only until the next call on
+// the same Batch.
 type Batch struct {
 	cache  RuleCache
 	flows  [flowCacheWays]flowSlot
@@ -228,8 +287,8 @@ func (b *Batch) begin(n int) {
 
 // flushFlows folds every flow slot's pending bookkeeping into the
 // flow table. It must run before any code that reads or rewrites a
-// flow entry through the locked paths (the scalar fallback, teardown)
-// and at end of batch.
+// flow entry through the locked paths (full classification, the slow
+// path, teardown) and at end of batch.
 func (b *Batch) flushFlows() {
 	for i := range b.flows {
 		b.flows[i].flush()
@@ -285,7 +344,7 @@ func (b *Batch) flowSlotFor(flows *flow.Table, pkt *packet.Packet, kHi, kLo uint
 }
 
 // account folds one finished packet into the batch-local deltas and
-// telemetry run-length buffers (the batched counterpart of
+// telemetry run-length buffers (the vector counterpart of
 // Engine.Account).
 func (b *Batch) account(e *Engine, res *PacketResult) {
 	shard := uint32(res.FID) & (statsShardCount - 1)
@@ -293,31 +352,7 @@ func (b *Batch) account(e *Engine, res *PacketResult) {
 	if d.packets == 0 {
 		b.dirty = append(b.dirty, shard)
 	}
-	d.packets++
-	switch res.Kind {
-	case classifier.KindInitial:
-		d.initial++
-	case classifier.KindSubsequent:
-		d.subsequent++
-	case classifier.KindHandshake:
-		d.handshake++
-	case classifier.KindFinal:
-		d.final++
-	}
-	if res.Path == PathFast {
-		d.fastPath++
-	} else {
-		d.slowPath++
-	}
-	if res.Verdict == VerdictDrop {
-		d.dropped++
-	}
-	if res.Fast != nil {
-		d.eventsFired += uint64(res.Fast.EventsFired)
-	}
-	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
-		d.consolidations++
-	}
+	d.add(res)
 	if e.tel == nil {
 		return
 	}
@@ -363,95 +398,36 @@ func (e *Engine) flushStats(b *Batch) {
 		b.flowHits, b.flowMisses = 0, 0
 	}
 	for _, shard := range b.dirty {
-		d := &b.delta[shard]
-		s := &e.stats[shard]
-		s.packets.Add(d.packets)
-		if d.initial != 0 {
-			s.initial.Add(d.initial)
-		}
-		if d.subsequent != 0 {
-			s.subsequent.Add(d.subsequent)
-		}
-		if d.handshake != 0 {
-			s.handshake.Add(d.handshake)
-		}
-		if d.final != 0 {
-			s.final.Add(d.final)
-		}
-		if d.fastPath != 0 {
-			s.fastPath.Add(d.fastPath)
-		}
-		if d.slowPath != 0 {
-			s.slowPath.Add(d.slowPath)
-		}
-		if d.dropped != 0 {
-			s.dropped.Add(d.dropped)
-		}
-		if d.eventsFired != 0 {
-			s.eventsFired.Add(d.eventsFired)
-		}
-		if d.consolidations != 0 {
-			s.consolidations.Add(d.consolidations)
-		}
-		*d = statsDelta{}
+		e.stats[shard].fold(&b.delta[shard])
 	}
 	b.dirty = b.dirty[:0]
 }
 
 // ProcessBatch classifies and processes a vector of packets in arrival
-// order, amortizing per-packet dispatch: classification of plain data
-// packets takes a single-lock fast path, consolidated-rule and
-// event-table lookups are served from the Batch's generation-validated
-// cache, results are written into preallocated storage, and counters
-// and the fast-path latency histogram are folded into a few updates
-// per vector.
+// order. It is the engine's only packet router (ProcessPacket is a
+// vector of one): classification of plain data packets takes a
+// single-lock fast path, consolidated-rule and event-table lookups are
+// served from the Batch's generation-validated cache, results are
+// written into preallocated storage, and counters and the fast-path
+// latency histogram are folded into a few updates per vector.
 //
-// Semantics are packet-for-packet identical to calling ProcessPacket
-// in a loop — the differential oracle enforces this bit-for-bit.
 // Arrival order is preserved across the whole vector (no grouping or
 // sorting): NFs keep cross-flow state (rate limiters, DoS counters),
-// so reordering could change verdicts. Returned results point into the
-// Batch and are valid until its next use; the error behavior matches
-// ProcessPacket (processing stops at the first failing packet).
+// so reordering could change verdicts, and the vector size never
+// changes what a packet observes — the differential oracle checks
+// every size against a one-packet reference. Returned results point
+// into the Batch and are valid until its next use; processing stops
+// at the first failing packet.
 func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult, error) {
-	if !e.opts.EnableSpeedyBox {
-		// The baseline engine routes everything down the original
-		// chain; there is nothing to amortize, so stay on the exact
-		// scalar code path.
-		b.out = b.out[:0]
-		for _, pkt := range pkts {
-			res, err := e.ProcessPacket(pkt)
-			if err != nil {
-				return nil, err
-			}
-			b.out = append(b.out, res)
-		}
-		return b.out, nil
-	}
 	b.begin(len(pkts))
 	out := b.out
 	for i, pkt := range pkts {
-		fid, ok := e.classifyFast(pkt, b)
-		if !ok {
-			// Not fast-shaped (unparseable, handshake, FIN/RST,
-			// untracked or not-yet-established flow): fold the pending
-			// flow bookkeeping — the scalar path reads and rewrites the
-			// same entries — then take the full scalar path, which
-			// accounts for itself.
-			b.flushFlows()
-			res, err := e.ProcessPacket(pkt)
-			if err != nil {
-				e.flushStats(b)
-				return nil, err
-			}
-			out = append(out, res)
-			continue
-		}
-		res, err := e.processClassified(fid, pkt, &b.info[i], &b.res[i], b)
+		res, err := e.route(pkt, &b.info[i], &b.res[i], b)
 		if err != nil {
 			e.flushStats(b)
 			return nil, err
 		}
+		b.account(e, res)
 		out = append(out, res)
 	}
 	b.out = out
@@ -462,16 +438,16 @@ func (e *Engine) ProcessBatch(pkts []*packet.Packet, b *Batch) ([]*PacketResult,
 // classifyFast classifies one fast-shaped packet — a plain data packet
 // (no SYN/FIN/RST) of an established, tracked flow — through the
 // Batch's flow-handle cache: a tuple compare, a generation load and a
-// state load replace the scalar path's lock acquisition and map probe.
-// Per-flow bookkeeping folds into the flow slot (flushed at batch
-// boundaries and before any locked flow-table access); the logical
-// clock ticks once per packet, exactly as scalar classification would,
-// so clock-deadline reads during processing (the degradation ladder's
-// backoff arithmetic) observe identical values on both paths.
+// state load replace full classification's lock acquisition and map
+// probe. Per-flow bookkeeping folds into the flow slot (flushed at
+// batch boundaries and before any locked flow-table access); the
+// logical clock ticks once per packet, exactly as full classification
+// would, so clock-deadline reads during processing (the degradation
+// ladder's backoff arithmetic) observe the same values either way.
 //
 // For every other packet shape it reports ok=false without mutating
-// the flow table or consuming a clock tick, and the caller routes the
-// packet through the full scalar path.
+// the flow table or consuming a clock tick, and the caller classifies
+// the packet in full.
 func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (flow.FID, bool) {
 	if !pkt.Parsed() {
 		if err := pkt.Parse(); err != nil {
@@ -504,55 +480,97 @@ func (e *Engine) classifyFast(pkt *packet.Packet, b *Batch) (flow.FID, bool) {
 	return fid, true
 }
 
-// processClassified routes one fast-shaped, already-classified packet
-// of a vector, mirroring ProcessPacket's decision sequence from the
-// post-classification point exactly: eviction-pressure fault, then
-// Subsequent (fast path) versus Initial (recording slow path).
-func (e *Engine) processClassified(fid flow.FID, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) (*PacketResult, error) {
-	// Decide Subsequent vs Initial before the eviction fault, exactly
-	// as the scalar classifier's hasRule probe runs inside Classify: a
-	// fault evicting the rule right after classification must leave a
-	// Subsequent packet falling back to the slow path (not re-recording
-	// as Initial).
-	_, hasRule := e.lookupRule(fid, &b.cache)
-
-	if e.faults != nil && e.faults.Should(fault.KindEvictPressure, fid) {
-		e.evictConsolidated(fid)
+// route classifies one packet of a vector and runs it down its path.
+// A SpeedyBox engine classifies fast-shaped packets through the flow
+// cache; every other packet, and every packet of the baseline engine,
+// takes the full locked Classify once the pending flow bookkeeping is
+// folded. After classification the decision sequence is the same for
+// both: the eviction-pressure fault, then Subsequent (fast path),
+// Final (fast or slow path, then teardown), Initial (recording slow
+// path) or Handshake (slow path). The fast path writes into info and
+// res; slow-path results are allocated.
+func (e *Engine) route(pkt *packet.Packet, info *FastPathInfo, res *PacketResult, b *Batch) (*PacketResult, error) {
+	var (
+		fid  flow.FID
+		kind classifier.Kind
+		fast bool
+	)
+	if e.opts.EnableSpeedyBox {
+		fid, fast = e.classifyFast(pkt, b)
 	}
-
-	if hasRule {
-		r, err := e.fastPathInto(fid, pkt, info, res, &b.cache)
+	if fast {
+		// The classifier's hasRule probe: it runs before the eviction
+		// fault, so a rule evicted right after classification leaves a
+		// Subsequent packet falling back to the slow path rather than
+		// re-recording as Initial.
+		kind = classifier.KindSubsequent
+		if _, ok := e.lookupRule(fid, &b.cache); !ok {
+			kind = classifier.KindInitial
+			pkt.Meta.Initial = true
+		}
+	} else {
+		b.flushFlows()
+		cls, err := e.Classify(pkt)
 		if err != nil {
 			return nil, err
 		}
-		r.FID = fid
-		r.Kind = classifier.KindSubsequent
-		b.account(e, r)
-		return r, nil
+		fid, kind = cls.FID, cls.Kind
 	}
 
-	// Established data packet without a live rule: the flow's initial
-	// packet (or a re-record after eviction/staleness). Same recording
-	// gate as ProcessPacket's KindInitial arm. The slow path drives
-	// the original chain and may observe flow entries, so pending
-	// folded bookkeeping is flushed first.
-	b.flushFlows()
-	pkt.Meta.Initial = true
-	recording := false
-	if e.recordingAllowed(fid) {
-		recording = e.TryBeginRecording(fid)
-	} else {
-		e.countDegradedPacket(fid)
+	// Fault: flow-table eviction pressure — the MAT "ran out of
+	// space" for this flow. Consolidated state is evicted (the next
+	// packet re-records); flow tracking and NF-internal state survive,
+	// exactly as a real table eviction leaves them.
+	if e.faults != nil && e.opts.EnableSpeedyBox &&
+		e.faults.Should(fault.KindEvictPressure, fid) {
+		e.evictConsolidated(fid)
 	}
-	r, err := e.slowPath(fid, pkt, recording)
-	if recording {
-		e.EndRecording(fid)
+
+	var (
+		r   *PacketResult
+		err error
+	)
+	switch kind {
+	case classifier.KindSubsequent:
+		r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+	case classifier.KindFinal:
+		if e.opts.EnableSpeedyBox && e.hasRule(fid) {
+			r, err = e.fastPathInto(fid, pkt, info, res, &b.cache)
+		} else {
+			r, err = e.slowPath(fid, pkt, false)
+		}
+		if err == nil {
+			e.teardown(fid, CauseFinTeardown)
+			r.TornDown = true
+		}
+	case classifier.KindInitial:
+		// The slow path drives the original chain and may observe flow
+		// entries, so pending folded bookkeeping is flushed first. Claim
+		// the flow's recording slot: if another packet of this flow is
+		// recording concurrently, traverse without recording. A degraded
+		// flow may only retry recording once its backoff deadline
+		// passes; until then its packets stay on the slow path without
+		// burning consolidation work.
+		b.flushFlows()
+		recording := false
+		if e.opts.EnableSpeedyBox {
+			if e.recordingAllowed(fid) {
+				recording = e.TryBeginRecording(fid)
+			} else {
+				e.countDegradedPacket(fid)
+			}
+		}
+		r, err = e.slowPath(fid, pkt, recording)
+		if recording {
+			e.EndRecording(fid)
+		}
+	default: // KindHandshake
+		r, err = e.slowPath(fid, pkt, false)
 	}
 	if err != nil {
 		return nil, err
 	}
 	r.FID = fid
-	r.Kind = classifier.KindInitial
-	b.account(e, r)
+	r.Kind = kind
 	return r, nil
 }

@@ -119,18 +119,93 @@ func TestProcessBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProcessBatchBaselineMatchesScalar: the baseline engine's batched
-// entry point must stay on the original-chain path packet for packet.
+// TestProcessBatchBaselineMatchesScalar: the baseline engine runs the
+// same router through full classification only; its vectors must equal
+// its per-packet results, stay on the original-chain path and fold the
+// same counters.
 func TestProcessBatchBaselineMatchesScalar(t *testing.T) {
-	scalarEng := newBatchTestEngine(t, BaselineOptions())
-	batchEng := newBatchTestEngine(t, BaselineOptions())
-	scalar := runScalar(t, scalarEng, mixedTrace(t))
-	batched := runBatched(t, batchEng, mixedTrace(t), 8)
-	compareRuns(t, scalar, batched)
-	for i := range batched {
-		if batched[i].Path != PathSlow {
-			t.Fatalf("packet %d: baseline engine took %v", i, batched[i].Path)
+	for _, vec := range []int{1, 8, 32} {
+		scalarEng := newBatchTestEngine(t, BaselineOptions())
+		batchEng := newBatchTestEngine(t, BaselineOptions())
+		scalar := runScalar(t, scalarEng, mixedTrace(t))
+		batched := runBatched(t, batchEng, mixedTrace(t), vec)
+		compareRuns(t, scalar, batched)
+		for i := range batched {
+			if batched[i].Path != PathSlow {
+				t.Fatalf("vec=%d packet %d: baseline engine took %v", vec, i, batched[i].Path)
+			}
 		}
+		if s, b := scalarEng.Stats(), batchEng.Stats(); s != b {
+			t.Errorf("vec=%d: stats diverge\nscalar:  %+v\nbatched: %+v", vec, s, b)
+		}
+	}
+}
+
+// TestProcessPacketResultOwned: ProcessPacket runs on a pooled Batch,
+// so its result — Fast info included — must be a copy that later calls
+// on the same engine cannot overwrite.
+func TestProcessPacketResultOwned(t *testing.T) {
+	eng := newBatchTestEngine(t, DefaultOptions())
+	if _, err := eng.ProcessPacket(udpPkt(t, 8901, "install")); err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.ProcessPacket(udpPkt(t, 8901, "fast"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Path != PathFast || first.Fast == nil {
+		t.Fatalf("second packet took %v, want the fast path", first.Path)
+	}
+	want, wantInfo := *first, *first.Fast
+	// Later packets of the same flow (fast) and of other flows (initial:
+	// slow) reuse the pooled Batch's storage; a slow-path call last
+	// leaves that storage zeroed.
+	for i := 0; i < 8; i++ {
+		if _, err := eng.ProcessPacket(udpPkt(t, 8901, "again")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.ProcessPacket(udpPkt(t, uint16(8902+i), "other")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.Fast == nil || *first.Fast != wantInfo {
+		t.Fatalf("Fast info changed under later calls: %+v, want %+v", first.Fast, wantInfo)
+	}
+	got := *first
+	got.Fast, want.Fast = nil, nil
+	if got != want {
+		t.Fatalf("result changed under later calls: %+v, want %+v", got, want)
+	}
+}
+
+// TestProcessPacketFastPathAllocs: a fast-path ProcessPacket allocates
+// only the caller-owned copies of its result and Fast info.
+func TestProcessPacketFastPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled Batches at random")
+	}
+	eng := newBatchTestEngine(t, DefaultOptions())
+	if _, err := eng.ProcessPacket(udpPkt(t, 9001, "install")); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	pkts := make([]*packet.Packet, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range pkts {
+		pkts[i] = udpPkt(t, 9001, "fast")
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		res, err := eng.ProcessPacket(pkts[next])
+		next++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Path != PathFast {
+			t.Fatalf("packet %d took %v, want the fast path", next, res.Path)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("fast-path ProcessPacket: %.1f allocs/op, want <= 2", allocs)
 	}
 }
 

@@ -130,7 +130,7 @@ type recShard struct {
 // Engine wires a service chain to the SpeedyBox machinery. It is safe
 // for concurrent use: the pipelined ONVM platform classifies,
 // processes and consolidates from different goroutines, and the
-// multi-queue platform calls ProcessPacket from one worker per RSS
+// multi-queue platform calls ProcessBatch from one worker per RSS
 // queue. All per-flow state (flow table, Global MAT, Event Table,
 // recording claims, counters) is sharded by FID so workers handling
 // disjoint flows do not contend.
@@ -155,6 +155,10 @@ type Engine struct {
 	hasRule func(flow.FID) bool
 
 	stats [statsShardCount]statsShard
+
+	// batches pools the Batch scratch ProcessPacket runs its one-packet
+	// vectors on.
+	batches sync.Pool
 
 	recording [recShardCount]recShard
 
@@ -212,6 +216,7 @@ func NewEngine(chain []NF, opts Options) (*Engine, error) {
 		class:  classifier.New(flow.NewTable()),
 	}
 	e.cur.Store(newChainState(chain, nil, 0))
+	e.batches.New = func() any { return NewBatch(1) }
 	for i := range e.recording {
 		e.recording[i].fids = make(map[flow.FID]struct{})
 	}
@@ -489,104 +494,38 @@ func (e *Engine) ConsolidateFlow(fid flow.FID) (uint64, error) {
 func (e *Engine) TeardownFlow(fid flow.FID) { e.teardown(fid, CauseFinTeardown) }
 
 // Account folds a finished packet's result into the engine counters.
-// ProcessPacket calls it automatically; platforms that assemble
-// results themselves call it once per packet.
+// The data path accounts for itself; platforms that assemble results
+// themselves (the ONVM pipeline) call it once per packet.
 func (e *Engine) Account(res *PacketResult) {
-	s := &e.stats[uint32(res.FID)&(statsShardCount-1)]
-	s.packets.Add(1)
-	switch res.Kind {
-	case classifier.KindInitial:
-		s.initial.Add(1)
-	case classifier.KindSubsequent:
-		s.subsequent.Add(1)
-	case classifier.KindHandshake:
-		s.handshake.Add(1)
-	case classifier.KindFinal:
-		s.final.Add(1)
-	}
-	if res.Path == PathFast {
-		s.fastPath.Add(1)
-	} else {
-		s.slowPath.Add(1)
-	}
-	if res.Verdict == VerdictDrop {
-		s.dropped.Add(1)
-	}
-	if res.Fast != nil {
-		s.eventsFired.Add(uint64(res.Fast.EventsFired))
-	}
-	if res.Slow != nil && res.Slow.ConsolidateCycles > 0 {
-		s.consolidations.Add(1)
-	}
+	var d statsDelta
+	d.add(res)
+	e.statsFor(res.FID).fold(&d)
 	if e.tel != nil {
 		e.tel.accountPacket(res)
 	}
 }
 
 // ProcessPacket classifies and processes one packet, returning the
-// full accounting. The packet is mutated (or dropped) in place.
+// full accounting. The packet is mutated (or dropped) in place. It is
+// ProcessBatch over a vector of one on a pooled Batch; the result, and
+// its Fast info, are copies the caller owns.
 func (e *Engine) ProcessPacket(pkt *packet.Packet) (*PacketResult, error) {
-	cls, err := e.Classify(pkt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Fault: flow-table eviction pressure — the MAT "ran out of
-	// space" for this flow. Consolidated state is evicted (the next
-	// packet re-records); flow tracking and NF-internal state survive,
-	// exactly as a real table eviction leaves them.
-	if e.faults != nil && e.opts.EnableSpeedyBox &&
-		e.faults.Should(fault.KindEvictPressure, cls.FID) {
-		e.evictConsolidated(cls.FID)
-	}
-
+	b := e.batches.Get().(*Batch)
+	vec := [1]*packet.Packet{pkt}
+	rs, err := e.ProcessBatch(vec[:], b)
 	var res *PacketResult
-	switch cls.Kind {
-	case classifier.KindSubsequent:
-		res, err = e.fastPath(cls.FID, pkt)
-	case classifier.KindFinal:
-		if e.opts.EnableSpeedyBox {
-			if _, ok := e.global.LookupLive(cls.FID); ok {
-				res, err = e.fastPath(cls.FID, pkt)
-			} else {
-				res, err = e.slowPath(cls.FID, pkt, false)
-			}
-		} else {
-			res, err = e.slowPath(cls.FID, pkt, false)
+	if err == nil {
+		res = rs[0]
+		if res.Path == PathFast {
+			// Fast-path results live in the Batch's storage; slow-path
+			// results are already the caller's.
+			cp, info := *res, *res.Fast
+			cp.Fast = &info
+			res = &cp
 		}
-		if err == nil {
-			e.teardown(cls.FID, CauseFinTeardown)
-			res.TornDown = true
-		}
-	case classifier.KindInitial:
-		// Claim the flow's recording slot: if another packet of this
-		// flow is recording concurrently (callers that overlap
-		// ProcessPacket for one flow), traverse without recording. A
-		// degraded flow may only retry recording once its backoff
-		// deadline passes; until then its packets stay on the slow
-		// path without burning consolidation work.
-		recording := false
-		if e.opts.EnableSpeedyBox {
-			if e.recordingAllowed(cls.FID) {
-				recording = e.TryBeginRecording(cls.FID)
-				if recording {
-					defer e.EndRecording(cls.FID)
-				}
-			} else {
-				e.countDegradedPacket(cls.FID)
-			}
-		}
-		res, err = e.slowPath(cls.FID, pkt, recording)
-	default: // KindHandshake
-		res, err = e.slowPath(cls.FID, pkt, false)
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.FID = cls.FID
-	res.Kind = cls.Kind
-	e.Account(res)
-	return res, nil
+	e.batches.Put(b)
+	return res, err
 }
 
 // slowPath runs the packet through the original service chain,
@@ -823,26 +762,21 @@ func (e *Engine) reconsolidate(fid flow.FID, cs *chainState) (uint64, error) {
 	return info.ConsolidateCycles, nil
 }
 
-// FastProcess runs the consolidated fast path for a subsequent packet,
-// exposed for platforms that dispatch fast-path packets from their own
-// cores (the ONVM manager).
-func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet) (*PacketResult, error) {
-	return e.fastPath(fid, pkt)
-}
-
-// fastPath applies the consolidated rule (scalar entry point: fresh
-// result storage, no rule cache).
-func (e *Engine) fastPath(fid flow.FID, pkt *packet.Packet) (*PacketResult, error) {
-	return e.fastPathInto(fid, pkt, &FastPathInfo{}, &PacketResult{}, nil)
+// FastProcess runs the consolidated fast path for a subsequent packet
+// into fresh result storage, exposed for platforms that dispatch
+// fast-path packets from their own cores (the ONVM manager). rc is the
+// calling core's own rule cache.
+func (e *Engine) FastProcess(fid flow.FID, pkt *packet.Packet, rc *RuleCache) (*PacketResult, error) {
+	return e.fastPathInto(fid, pkt, &FastPathInfo{}, &PacketResult{}, rc)
 }
 
 // fastPathInto applies the consolidated rule, writing into the
-// caller-provided (zeroed) info and res storage — the batched path
-// reuses per-worker arrays so steady-state fast-path packets allocate
-// nothing. rc, when non-nil, is the worker's rule cache: generation-
-// validated hits skip the sharded Global MAT map and the Event Table
-// probes. On a rule miss the packet transparently falls back to the
-// slow path, whose (allocated) result is returned instead of res.
+// caller-provided (zeroed) info and res storage — a Batch reuses its
+// arrays so steady-state fast-path packets allocate nothing. rc is the
+// worker's rule cache: generation-validated hits skip the sharded
+// Global MAT map and the Event Table probes. On a rule miss the packet
+// transparently falls back to the slow path, whose (allocated) result
+// is returned instead of res.
 func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathInfo, res *PacketResult, rc *RuleCache) (*PacketResult, error) {
 	m := e.model
 	info.FixedCycles = m.HashFID + m.FastPathBase + m.EventCheck + m.GMATLookup
@@ -937,7 +871,7 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 
 // fireEventsCached probes the Event Table for the flow, applies any
 // updates to the owning Local MATs and reconsolidates. It returns
-// whether anything fired. rc is an optional per-worker cache: a flow
+// whether anything fired. rc is the per-worker cache: a flow
 // known to have no registered events (verdict validated against the
 // Event Table's registration generation) skips the locked probe
 // entirely. The verdict can only be invalidated by Register, which
@@ -945,18 +879,15 @@ func (e *Engine) fastPathInto(fid flow.FID, pkt *packet.Packet, info *FastPathIn
 // event set, which the cache handles conservatively by keeping probing
 // flows it has no verdict for.
 func (e *Engine) fireEventsCached(fid flow.FID, info *FastPathInfo, rc *RuleCache) (bool, error) {
-	if rc != nil && rc.noEventsValid(e, fid) {
+	if rc.noEventsValid(e, fid) {
 		return false, nil
 	}
-	var evGen uint64
-	if rc != nil {
-		// Read the generation before probing: if a Register lands
-		// between the two, the cached verdict is stamped with the older
-		// generation and the next validity check conservatively misses.
-		evGen = e.events.RegGen()
-	}
+	// Read the generation before probing: if a Register lands between
+	// the two, the cached verdict is stamped with the older generation
+	// and the next validity check conservatively misses.
+	evGen := e.events.RegGen()
 	firings, registered := e.events.Probe(fid)
-	if rc != nil && !registered {
+	if !registered {
 		rc.putNoEvents(fid, evGen)
 	}
 	if len(firings) == 0 {

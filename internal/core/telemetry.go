@@ -77,11 +77,11 @@ type engineTelemetry struct {
 	// Flow lifecycle.
 	flowResets *telemetry.Counter
 
-	// Batched fast-path classification: packets served from a worker's
-	// flow-handle cache versus those that took the shard read lock.
-	// Implementation telemetry, deliberately kept out of core.Stats —
-	// Stats is the oracle-compared behavioral surface and cache hit
-	// rates legitimately differ between scalar and batched execution.
+	// Fast classification: packets served from a worker's flow-handle
+	// cache versus those that took the shard read lock. Implementation
+	// telemetry, deliberately kept out of core.Stats — Stats is the
+	// oracle-compared behavioral surface and cache hit rates
+	// legitimately differ between vector sizes.
 	flowCacheHits   *telemetry.Counter
 	flowCacheMisses *telemetry.Counter
 

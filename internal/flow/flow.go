@@ -427,7 +427,7 @@ func (t *Table) Update(fid FID, fn func(*Entry)) bool {
 
 // Commit stores snap's mutable fields back into the tracked entry for
 // fid. It is the closure-free write half of a Lookup/Insert →
-// local-state-machine → Commit sequence (the scalar classifier's
+// local-state-machine → Commit sequence (full classification's
 // shape): because RSS partitioning gives each flow a single writer,
 // the read-modify-write needs no lock across the sequence, and Commit
 // itself only takes the shard read lock to find the entry — the field

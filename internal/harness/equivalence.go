@@ -100,11 +100,7 @@ func equivSnortBranches(cfg Config) (EquivCheck, error) {
 			return nil, err
 		}
 		defer func() { _ = p.Close() }()
-		if cfg.Batch > 1 {
-			if _, err := platform.RunBatch(p, tr.Packets(), cfg.Batch, nil); err != nil {
-				return nil, err
-			}
-		} else if _, err := platform.Run(p, tr.Packets()); err != nil {
+		if _, err := platform.RunBatch(p, tr.Packets(), max(cfg.Batch, 1), nil); err != nil {
 			return nil, err
 		}
 		return ids.Logs(), nil

@@ -38,9 +38,8 @@ type Config struct {
 	// sweep (the metric registry is idempotent across engines; scrape
 	// callbacks reflect the most recently built one).
 	Telemetry *telemetry.Hub
-	// Batch > 1 drives every variant through the platform's
-	// ProcessBatch in vectors of that size instead of per-packet
-	// Process calls; 0 or 1 is scalar.
+	// Batch is the vector size every variant's ProcessBatch runs;
+	// 0 or 1 means one-packet vectors.
 	Batch int
 }
 
@@ -82,11 +81,11 @@ type Partitioned struct {
 	model      *cost.Model
 }
 
-// runPartitioned feeds the packets through the platform — per packet,
-// or in batch-packet vectors when batch > 1 — and partitions per-packet
-// measurements. Handshake and FIN packets are excluded from the
-// init/sub buckets (the paper's microbenchmarks measure data packets)
-// but still contribute to flow processing time.
+// runPartitioned feeds the packets through the platform in
+// batch-packet vectors (one-packet when batch <= 1) and partitions
+// per-packet measurements. Handshake and FIN packets are excluded from
+// the init/sub buckets (the paper's microbenchmarks measure data
+// packets) but still contribute to flow processing time.
 func runPartitioned(p platform.Platform, pkts []*packet.Packet, batch int) (*Partitioned, error) {
 	out := &Partitioned{
 		PerNFSub:   make(map[string][]float64),
@@ -121,28 +120,15 @@ func runPartitioned(p platform.Platform, pkts []*packet.Packet, batch int) (*Par
 			}
 		}
 	}
-	if batch > 1 {
-		b := platform.NewBatch(batch)
-		for off := 0; off < len(pkts); off += batch {
-			end := off + batch
-			if end > len(pkts) {
-				end = len(pkts)
-			}
-			ms, err := p.ProcessBatch(pkts[off:end], b)
-			if err != nil {
-				return nil, fmt.Errorf("harness: batch at packet %d on %s: %w", off, p.Name(), err)
-			}
-			for i := range ms {
-				fold(&ms[i])
-			}
+	batch = max(batch, 1)
+	b := platform.NewBatch(batch)
+	for off := 0; off < len(pkts); off += batch {
+		ms, err := p.ProcessBatch(pkts[off:min(off+batch, len(pkts))], b)
+		if err != nil {
+			return nil, fmt.Errorf("harness: batch at packet %d on %s: %w", off, p.Name(), err)
 		}
-	} else {
-		for i, pkt := range pkts {
-			m, err := p.Process(pkt)
-			if err != nil {
-				return nil, fmt.Errorf("harness: packet %d on %s: %w", i, p.Name(), err)
-			}
-			fold(&m)
+		for i := range ms {
+			fold(&ms[i])
 		}
 	}
 	out.Stats = p.Engine().Stats()

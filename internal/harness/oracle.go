@@ -74,12 +74,12 @@ type OracleConfig struct {
 	// 1 or 2 (§VII-B3), or 3 for the stateless chain; 0 alternates per
 	// schedule (the cluster cycles through all three).
 	Chain int
-	// Batch > 1 drives the fast side through its batched data path in
-	// vectors of that size (the reference stays scalar — its
-	// correctness is definitional), proving the batched path
+	// Batch is the fast side's vector size; <= 1 means one-packet
+	// vectors. The reference always runs one-packet vectors (its
+	// correctness is definitional), so Batch > 1 proves longer vectors
 	// bit-identical to per-packet execution under the same fault
 	// schedules. Vectors are clipped at every scheduled event so each
-	// packet of a batch observes the same state as its reference twin.
+	// packet of a vector observes the same state as its reference twin.
 	Batch int
 	// Rates overrides the per-kind injection rates; nil selects a
 	// uniform moderate-chaos default across every fault kind.
@@ -253,8 +253,8 @@ func (cfg *OracleConfig) validate() error {
 // cluster. The reference side is an engine or a topology built with
 // core.BaselineOptions(), driven one packet at a time.
 type system interface {
-	// process runs a non-empty prefix of pkts — one packet when the
-	// system is scalar — and passes each packet's offset, result and
+	// process runs a non-empty prefix of pkts as one vector and passes
+	// each packet's offset, result and
 	// chain index (-1 when the system does not route) to emit, in
 	// order, stopping when emit returns false. It returns the prefix
 	// length.
@@ -424,15 +424,12 @@ func runSchedule(cfg OracleConfig, sched int, seed int64, rates map[fault.Kind]f
 				return fmt.Errorf("packet %d: %w", i, err)
 			}
 		}
-		// One packet, or one vector clipped at the next event: every
-		// environmental transition must interleave with the packet
-		// stream identically on both sides.
-		end := i + 1
-		if cfg.Batch > 1 {
-			end = min(i+cfg.Batch, n)
-			if next < len(events) && events[next].at < end {
-				end = events[next].at
-			}
+		// One vector clipped at the next event: every environmental
+		// transition must interleave with the packet stream identically
+		// on both sides.
+		end := min(i+max(cfg.Batch, 1), n)
+		if next < len(events) && events[next].at < end {
+			end = events[next].at
 		}
 		agreed := true
 		used, err := fast.process(fastPkts[i:end], func(off int, r *core.PacketResult, chain int) bool {

@@ -119,24 +119,12 @@ func newClusterSystem(chain int, opts core.Options, cfg OracleConfig) (*clusterS
 		return nil, err
 	}
 	cl.TamperMigration = cfg.TamperMigration
-	s := &clusterSystem{cl: cl, chainNF: nfs, batch: cfg.Batch}
-	if cfg.Batch > 1 {
-		s.pb = platform.NewBatch(cfg.Batch)
-	}
-	return s, nil
+	batch := max(cfg.Batch, 1)
+	return &clusterSystem{cl: cl, chainNF: nfs, batch: batch, pb: platform.NewBatch(batch)}, nil
 }
 
-// process runs one packet, or a vector through the cluster's batched
-// run-splitting path.
+// process runs a vector through the cluster's run-splitting path.
 func (s *clusterSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error) {
-	if s.pb == nil {
-		m, err := s.cl.Process(pkts[0])
-		if err != nil {
-			return 0, err
-		}
-		emit(0, m.Result, -1)
-		return 1, nil
-	}
 	err := s.cl.ProcessRuns(pkts, s.batch, s.pb, func(off int, ms []platform.Measurement) error {
 		for j, m := range ms {
 			if !emit(off+j, m.Result, -1) {

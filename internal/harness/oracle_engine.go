@@ -77,8 +77,8 @@ type engineSystem struct {
 }
 
 // newEngineSystem builds the chain and its engine. cfg supplies the
-// batch size, durability (Crashes) and tamper hooks; the reference
-// passes the zero config.
+// vector size, durability (Crashes) and tamper hooks; the reference
+// passes the zero config and runs one-packet vectors.
 func newEngineSystem(chain int, opts core.Options, cfg OracleConfig) (*engineSystem, error) {
 	nfs, err := buildOracleChain(chain)
 	if err != nil {
@@ -93,26 +93,14 @@ func newEngineSystem(chain int, opts core.Options, cfg OracleConfig) (*engineSys
 	}
 	s := &engineSystem{
 		chain: chain, opts: opts, chainNF: nfs, eng: eng,
+		batch:      core.NewBatch(max(cfg.Batch, 1)),
 		tamperRule: cfg.TamperRule, tamperReconfig: cfg.TamperReconfig,
-	}
-	if cfg.Batch > 1 {
-		s.batch = core.NewBatch(cfg.Batch)
 	}
 	return s, nil
 }
 
 func (s *engineSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error) {
-	var (
-		results []*core.PacketResult
-		err     error
-	)
-	if s.batch == nil {
-		var r *core.PacketResult
-		r, err = s.eng.ProcessPacket(pkts[0])
-		results = []*core.PacketResult{r}
-	} else {
-		results, err = s.eng.ProcessBatch(pkts, s.batch)
-	}
+	results, err := s.eng.ProcessBatch(pkts, s.batch)
 	if err != nil {
 		return 0, err
 	}
@@ -127,9 +115,9 @@ func (s *engineSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error
 	return len(results), nil
 }
 
-// tamper corrupts the flow's consolidated rule. In batch mode the
-// vector has already run; tampering still poisons every later vector
-// of the flow.
+// tamper corrupts the flow's consolidated rule. The vector has
+// already run; tampering still poisons every later vector of the
+// flow.
 func (s *engineSystem) tamper(fid flow.FID) {
 	r, ok := s.eng.Global().Lookup(fid)
 	if !ok {

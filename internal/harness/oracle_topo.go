@@ -113,10 +113,10 @@ type topoSystem struct {
 }
 
 // newTopoSystem builds the oracle topology; reconfigurations go to the
-// target chain. cfg supplies the batch size and the route tamper; the
-// reference passes the zero config.
+// target chain. cfg supplies the vector size and the route tamper; the
+// reference passes the zero config and runs one-packet vectors.
 func newTopoSystem(opts core.Options, target int, cfg OracleConfig) (*topoSystem, error) {
-	s := &topoSystem{opts: opts, target: target, batch: cfg.Batch, tamper: cfg.TamperRoute}
+	s := &topoSystem{opts: opts, target: target, batch: max(cfg.Batch, 1), tamper: cfg.TamperRoute}
 	t, err := s.build()
 	if err != nil {
 		return nil, err
@@ -134,19 +134,11 @@ func (s *topoSystem) build() (*topo.Topology, error) {
 	return t, nil
 }
 
-// process runs one packet, or one same-chain vector: vectors are
-// clipped at chain boundaries, so one engine runs each.
+// process runs one same-chain vector: vectors are clipped at chain
+// boundaries, so one engine runs each.
 func (s *topoSystem) process(pkts []*packet.Packet, emit emitFunc) (int, error) {
 	chain := s.t.Route(pkts[0])
 	eng := s.t.Engine(chain)
-	if s.batch <= 1 {
-		r, err := eng.ProcessPacket(pkts[0])
-		if err != nil {
-			return 0, err
-		}
-		emit(0, r, chain)
-		return 1, nil
-	}
 	end := 1
 	for end < len(pkts) && s.t.Route(pkts[end]) == chain {
 		end++

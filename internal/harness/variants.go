@@ -53,8 +53,8 @@ func buildPlatform(kind PlatformKind, mk chainFactory, opts core.Options) (platf
 	}
 }
 
-// runVariant builds a platform, runs the packets (scalar, or in
-// batch-packet vectors when batch > 1) and partitions the
+// runVariant builds a platform, runs the packets in batch-packet
+// vectors (one-packet when batch <= 1) and partitions the
 // measurements, closing the platform afterwards.
 func runVariant(kind PlatformKind, mk chainFactory, opts core.Options, pkts []*packet.Packet, batch int) (*Partitioned, error) {
 	p, err := buildPlatform(kind, mk, opts)

@@ -297,12 +297,13 @@ func (p *Platform) enqueueBatch(r *ring.Ring[*job], jobs []*job) {
 
 // managerLoop is the NF manager core: it consolidates freshly recorded
 // flows and executes the Global MAT fast path. Like the NF cores it
-// drains its ring in bursts; per-job work stays scalar because each
-// job's result must outlive the burst (jobs complete asynchronously,
-// while batch storage is reused).
+// drains its ring in bursts. The core owns a rule cache, as each
+// batch worker does, but each fast-path job gets fresh result storage:
+// jobs complete asynchronously, so a result must outlive the burst.
 func (p *Platform) managerLoop() {
 	defer p.wg.Done()
 	buf := make([]*job, core.DefaultBatchSize)
+	var rc core.RuleCache
 	for {
 		n, err := p.mgrRing.DequeueBatch(buf)
 		if err != nil {
@@ -325,7 +326,7 @@ func (p *Platform) managerLoop() {
 				continue
 			}
 			// Fast-path packet.
-			res, err := p.eng.FastProcess(j.cls.FID, j.pkt)
+			res, err := p.eng.FastProcess(j.cls.FID, j.pkt, &rc)
 			if err != nil {
 				j.err = err
 			} else {
@@ -515,40 +516,16 @@ func (p *Platform) Process(pkt *packet.Packet) (platform.Measurement, error) {
 	return p.collect(j)
 }
 
-// ProcessBatch implements platform.Platform: the RX thread injects the
-// whole vector back-to-back and then waits for every descriptor —
+// ProcessBatch implements platform.Platform: the RX thread injects
+// the whole vector back-to-back and then waits for every descriptor —
 // pipelined within the batch (packets of different flows genuinely
 // overlap across the NF cores, and the ring bursts amortize lock
-// traffic), lock-step across batches. As with RunPipelined, several
-// leading packets of a flow may traverse the slow path before its
-// first consolidation lands; each is safe.
+// traffic), lock-step across batches. A vector of one is exactly
+// Process. As with RunPipelined, several leading packets of a flow may
+// traverse the slow path before its first consolidation lands; each
+// is safe.
 func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *platform.Batch) ([]platform.Measurement, error) {
-	jobs := make([]*job, 0, len(pkts))
-	var injectErr error
-	for _, pkt := range pkts {
-		j, err := p.inject(pkt)
-		if err != nil {
-			injectErr = err
-			break
-		}
-		jobs = append(jobs, j)
-	}
-	ms := b.Measurements(len(jobs))[:0]
-	var collectErr error
-	for _, j := range jobs {
-		m, err := p.collect(j)
-		if err != nil {
-			if collectErr == nil {
-				collectErr = err
-			}
-			continue
-		}
-		ms = append(ms, m)
-	}
-	if injectErr != nil {
-		return ms, injectErr
-	}
-	return ms, collectErr
+	return p.run(pkts, b.Measurements(len(pkts))[:0])
 }
 
 // RunPipelined pushes the whole packet sequence through the pipeline
@@ -563,10 +540,14 @@ func (p *Platform) ProcessBatch(pkts []*packet.Packet, b *platform.Batch) ([]pla
 //     fast-path packet count can be lower than in lock-step mode;
 //   - measurements remain deterministic per packet given the path it
 //     took, but path assignment depends on scheduling.
-//
-// Injection stops at the first error; already-injected jobs are
-// drained before returning.
 func (p *Platform) RunPipelined(pkts []*packet.Packet) ([]platform.Measurement, error) {
+	return p.run(pkts, make([]platform.Measurement, 0, len(pkts)))
+}
+
+// run injects pkts back-to-back, then collects every descriptor in
+// arrival order, appending the measurements to out. Injection stops at
+// the first error; already-injected jobs are drained before returning.
+func (p *Platform) run(pkts []*packet.Packet, out []platform.Measurement) ([]platform.Measurement, error) {
 	jobs := make([]*job, 0, len(pkts))
 	var injectErr error
 	for _, pkt := range pkts {
@@ -577,7 +558,6 @@ func (p *Platform) RunPipelined(pkts []*packet.Packet) ([]platform.Measurement, 
 		}
 		jobs = append(jobs, j)
 	}
-	out := make([]platform.Measurement, 0, len(jobs))
 	var collectErr error
 	for _, j := range jobs {
 		m, err := p.collect(j)

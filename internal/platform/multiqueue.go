@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/fastpathnfv/speedybox/internal/core"
 	"github.com/fastpathnfv/speedybox/internal/flow"
 	"github.com/fastpathnfv/speedybox/internal/packet"
 	"github.com/fastpathnfv/speedybox/internal/telemetry"
@@ -12,11 +11,11 @@ import (
 
 // MultiQueue models an RSS-style multi-queue NIC feeding one engine
 // from several cores: packets are hash-partitioned by 5-tuple across W
-// worker queues, and each worker drains its queue by calling the
-// platform's Process. Because the partition key is the flow hash, all
-// packets of a flow land on the same worker, which preserves per-flow
-// ordering — the same guarantee hardware RSS gives — while disjoint
-// flows proceed in parallel on the engine's FID-sharded state.
+// worker queues, and each worker drains its queue through the
+// platform's ProcessBatch. Because the partition key is the flow hash,
+// all packets of a flow land on the same worker, which preserves
+// per-flow ordering — the same guarantee hardware RSS gives — while
+// disjoint flows proceed in parallel on the engine's FID-sharded state.
 type MultiQueue struct {
 	p       Platform
 	workers int
@@ -75,15 +74,18 @@ func NewMultiQueue(p Platform, workers int) (*MultiQueue, error) {
 // Workers returns the configured queue count.
 func (m *MultiQueue) Workers() int { return m.workers }
 
-// SetBatchSize switches the workers to batched draining: each worker
-// owns a Batch (rule cache, pooled results) and feeds its queue through
-// the platform's ProcessBatch in n-packet vectors. n <= 1 keeps the
-// scalar per-packet loop; 0 is scalar, matching NewMultiQueue's
-// default. Call before Run, not during one.
+// SetBatchSize sets the workers' vector size: each worker owns a Batch
+// (rule cache, pooled results) and feeds its queue through the
+// platform's ProcessBatch in n-packet vectors. n <= 1, including
+// NewMultiQueue's default of 0, means one-packet vectors. Call before
+// Run, not during one.
 func (m *MultiQueue) SetBatchSize(n int) { m.batch = n }
 
-// BatchSize returns the configured vector size (0 or 1 = scalar).
+// BatchSize returns the configured vector size (0 or 1 = one packet).
 func (m *MultiQueue) BatchSize() int { return m.batch }
+
+// vec returns the effective vector size.
+func (m *MultiQueue) vec() int { return max(m.batch, 1) }
 
 // Platform returns the wrapped platform.
 func (m *MultiQueue) Platform() Platform { return m.p }
@@ -141,10 +143,11 @@ func (m *MultiQueue) partition(home flow.FID) int {
 
 // drainClasses feeds one worker's queue through the class platforms in
 // weighted-round-robin order: per round, class c processes up to
-// Weight×quantum of its own backlog, then yields. Packets keep their
+// Weight×quantum of its own backlog (quantum = the vector size), then
+// yields. Packets keep their
 // arrival order within a class (per-flow order), while classes
 // interleave at quantum granularity — the fair-share guarantee.
-func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
+func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, res *RunResult) error {
 	nc := len(m.classes)
 	sub := make([][]*packet.Packet, nc)
 	for _, pkt := range q {
@@ -154,49 +157,23 @@ func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
 		}
 		sub[c] = append(sub[c], pkt)
 	}
-	quantum := m.batch
-	if quantum < 1 {
-		quantum = 1
-	}
+	vec := m.vec()
 	batches := make([]*Batch, nc)
 	off := make([]int, nc)
-	remaining := len(q)
-	for remaining > 0 {
-		for c := 0; c < nc && part.err == nil; c++ {
-			budget := m.classes[c].Weight * quantum
-			for budget > 0 && off[c] < len(sub[c]) {
-				end := off[c] + budget
-				if m.batch > 1 && end > off[c]+m.batch {
-					end = off[c] + m.batch
-				}
-				if end > len(sub[c]) {
-					end = len(sub[c])
-				}
+	for remaining := len(q); remaining > 0; {
+		for c := 0; c < nc; c++ {
+			for budget := m.classes[c].Weight * vec; budget > 0 && off[c] < len(sub[c]); {
+				end := min(off[c]+budget, off[c]+vec, len(sub[c]))
 				span := sub[c][off[c]:end]
-				if m.batch > 1 {
-					if batches[c] == nil {
-						batches[c] = NewBatch(m.batch)
-					}
-					ms, err := m.classes[c].Platform.ProcessBatch(span, batches[c])
-					if err != nil {
-						part.err = fmt.Errorf("platform %s: queue %d class %d batch at packet %d: %w",
-							m.classes[c].Platform.Name(), w, c, off[c], err)
-						return
-					}
-					for i := range ms {
-						part.add(&ms[i])
-					}
-				} else {
-					for i, pkt := range span {
-						meas, err := m.classes[c].Platform.Process(pkt)
-						if err != nil {
-							part.err = fmt.Errorf("platform %s: queue %d class %d packet %d: %w",
-								m.classes[c].Platform.Name(), w, c, off[c]+i, err)
-							return
-						}
-						part.add(&meas)
-					}
+				if batches[c] == nil {
+					batches[c] = NewBatch(vec)
 				}
+				ms, err := m.classes[c].Platform.ProcessBatch(span, batches[c])
+				if err != nil {
+					return fmt.Errorf("platform %s: queue %d class %d batch at packet %d: %w",
+						m.classes[c].Platform.Name(), w, c, off[c], err)
+				}
+				res.Fold(ms)
 				if m.workerPkts != nil {
 					m.workerPkts[w].Add(uint64(len(span)))
 				}
@@ -205,70 +182,38 @@ func (m *MultiQueue) drainClasses(w int, q []*packet.Packet, part *mqPartial) {
 				remaining -= len(span)
 			}
 		}
-		if part.err != nil {
-			return
-		}
 	}
+	return nil
 }
 
-// mqPartial is one worker's private slice of the run aggregate; the
-// partials are merged after all workers join, so workers never share a
-// counter or map during the run.
-type mqPartial struct {
-	packets     int
-	drops       int
-	workCycles  []uint64
-	latencies   []uint64
-	bottlenecks []uint64
-	flowCycles  map[flow.FID]uint64
-	err         error
-}
-
-// add folds one measurement into the partial.
-func (part *mqPartial) add(meas *Measurement) {
-	part.packets++
-	if meas.Result.Verdict == core.VerdictDrop {
-		part.drops++
-	}
-	part.workCycles = append(part.workCycles, meas.WorkCycles)
-	part.latencies = append(part.latencies, meas.LatencyCycles)
-	part.bottlenecks = append(part.bottlenecks, meas.BottleneckCycles)
-	part.flowCycles[meas.Result.FID] += meas.LatencyCycles
-}
-
-// drainBatched feeds one worker's queue through the platform in
-// m.batch-packet vectors, reusing a worker-owned Batch (rule cache and
-// result storage persist across vectors of the same queue — by the RSS
-// partition, exactly the packets of the worker's own flows).
-func (m *MultiQueue) drainBatched(w int, q []*packet.Packet, part *mqPartial) {
-	b := NewBatch(m.batch)
-	for off := 0; off < len(q); off += m.batch {
-		end := off + m.batch
-		if end > len(q) {
-			end = len(q)
-		}
-		ms, err := m.p.ProcessBatch(q[off:end], b)
+// drain feeds one worker's queue through the platform in vec-packet
+// vectors, reusing a worker-owned Batch (rule cache and result storage
+// persist across vectors of the same queue — by the RSS partition,
+// exactly the packets of the worker's own flows).
+func (m *MultiQueue) drain(w int, q []*packet.Packet, res *RunResult) error {
+	vec := m.vec()
+	b := NewBatch(vec)
+	for off := 0; off < len(q); off += vec {
+		ms, err := m.p.ProcessBatch(q[off:min(off+vec, len(q))], b)
 		if err != nil {
-			part.err = fmt.Errorf("platform %s: queue %d batch at packet %d: %w",
+			return fmt.Errorf("platform %s: queue %d batch at packet %d: %w",
 				m.p.Name(), w, off, err)
-			return
 		}
-		for i := range ms {
-			part.add(&ms[i])
-		}
+		res.Fold(ms)
 		if m.workerPkts != nil {
 			m.workerPkts[w].Add(uint64(len(ms)))
 		}
 	}
+	return nil
 }
 
 // Run partitions the trace across the workers and processes the queues
 // concurrently, aggregating the same measurements as the serial Run.
 // Packet buffers are consumed (the platform mutates or drops them).
 // Packets that cannot be partitioned (unparseable) are sent to queue 0,
-// where Process reports the parse error. The first worker error (by
-// worker index) is returned; statistics are a merge of all workers'
-// completed packets.
+// where the platform reports the parse error. The first worker error
+// (by worker index) is returned; statistics are a merge of all
+// workers' completed packets.
 func (m *MultiQueue) Run(pkts []*packet.Packet) (*RunResult, error) {
 	queues := make([][]*packet.Packet, m.workers)
 	for _, pkt := range pkts {
@@ -284,59 +229,33 @@ func (m *MultiQueue) Run(pkts []*packet.Packet) (*RunResult, error) {
 		}
 	}
 
-	partials := make([]mqPartial, m.workers)
+	// Each worker folds into its own partial, merged after all join,
+	// so workers never share a counter or map during the run.
+	parts := make([]*RunResult, m.workers)
+	errs := make([]error, m.workers)
 	var wg sync.WaitGroup
 	for w := 0; w < m.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			part := &partials[w]
-			part.flowCycles = make(map[flow.FID]uint64)
+			parts[w] = NewRunResult(m.p.Model())
 			if m.classes != nil {
-				m.drainClasses(w, queues[w], part)
-				return
-			}
-			if m.batch > 1 {
-				m.drainBatched(w, queues[w], part)
-				return
-			}
-			for i, pkt := range queues[w] {
-				meas, err := m.p.Process(pkt)
-				if err != nil {
-					part.err = fmt.Errorf("platform %s: queue %d packet %d: %w",
-						m.p.Name(), w, i, err)
-					return
-				}
-				part.add(&meas)
-				if m.workerPkts != nil {
-					m.workerPkts[w].Inc()
-				}
+				errs[w] = m.drainClasses(w, queues[w], parts[w])
+			} else {
+				errs[w] = m.drain(w, queues[w], parts[w])
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	res := &RunResult{
-		FlowCycles:  make(map[flow.FID]uint64),
-		QueueDepths: make([]int, m.workers),
-		model:       m.p.Model(),
-	}
+	res := NewRunResult(m.p.Model())
+	res.QueueDepths = make([]int, m.workers)
+	var firstErr error
 	for w, q := range queues {
 		res.QueueDepths[w] = len(q)
-	}
-	var firstErr error
-	for w := range partials {
-		part := &partials[w]
-		if part.err != nil && firstErr == nil {
-			firstErr = part.err
-		}
-		res.Packets += part.packets
-		res.Drops += part.drops
-		res.WorkCycles = append(res.WorkCycles, part.workCycles...)
-		res.Latencies = append(res.Latencies, part.latencies...)
-		res.Bottlenecks = append(res.Bottlenecks, part.bottlenecks...)
-		for fid, c := range part.flowCycles {
-			res.FlowCycles[fid] += c
+		res.Merge(parts[w])
+		if firstErr == nil {
+			firstErr = errs[w]
 		}
 	}
 	if m.classes != nil {
@@ -346,8 +265,5 @@ func (m *MultiQueue) Run(pkts []*packet.Packet) (*RunResult, error) {
 	} else {
 		res.Stats = m.p.Engine().Stats()
 	}
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	return res, firstErr
 }

@@ -36,14 +36,15 @@ type Platform interface {
 	// Name returns the platform name ("BESS" or "OpenNetVM"),
 	// suffixed with " w/ SBox" when SpeedyBox is enabled.
 	Name() string
-	// Process runs one packet through the chain.
+	// Process runs one packet through the chain; the measurement is
+	// the caller's.
 	Process(pkt *packet.Packet) (Measurement, error)
 	// ProcessBatch runs a vector of packets through the chain in
 	// arrival order, using the caller-owned Batch scratch (one per
 	// worker goroutine). Returned measurements point into the Batch and
-	// are valid until its next use. Semantics match calling Process per
-	// packet; platforms amortize dispatch, lookups and allocations
-	// across the vector.
+	// are valid until its next use. A vector of one is Process;
+	// platforms amortize dispatch, lookups and allocations across
+	// longer vectors.
 	ProcessBatch(pkts []*packet.Packet, b *Batch) ([]Measurement, error)
 	// Engine exposes the underlying SpeedyBox engine.
 	Engine() *core.Engine
@@ -144,6 +145,20 @@ func (r *RunResult) Fold(ms []Measurement) {
 	}
 }
 
+// Merge appends another aggregate's packet measurements (one worker's
+// partial of a concurrent run) into r. Queue depths and Stats are the
+// caller's to set.
+func (r *RunResult) Merge(o *RunResult) {
+	r.Packets += o.Packets
+	r.Drops += o.Drops
+	r.WorkCycles = append(r.WorkCycles, o.WorkCycles...)
+	r.Latencies = append(r.Latencies, o.Latencies...)
+	r.Bottlenecks = append(r.Bottlenecks, o.Bottlenecks...)
+	for fid, c := range o.FlowCycles {
+		r.FlowCycles[fid] += c
+	}
+}
+
 // MeanWorkCycles returns the average per-packet work.
 func (r *RunResult) MeanWorkCycles() float64 { return meanU64(r.WorkCycles) }
 
@@ -200,66 +215,31 @@ func meanU64(xs []uint64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Run feeds every packet of the trace through the platform in order
-// and aggregates the measurements. Packet buffers are consumed (the
-// platform mutates or drops them).
+// Run feeds every packet of the trace through the platform in order,
+// as one-packet vectors, and aggregates the measurements. Packet
+// buffers are consumed (the platform mutates or drops them).
 func Run(p Platform, pkts []*packet.Packet) (*RunResult, error) {
-	res := &RunResult{
-		FlowCycles: make(map[flow.FID]uint64),
-		model:      p.Model(),
-	}
-	for i, pkt := range pkts {
-		m, err := p.Process(pkt)
-		if err != nil {
-			return nil, fmt.Errorf("platform %s: packet %d: %w", p.Name(), i, err)
-		}
-		res.Packets++
-		if m.Result.Verdict == core.VerdictDrop {
-			res.Drops++
-		}
-		res.WorkCycles = append(res.WorkCycles, m.WorkCycles)
-		res.Latencies = append(res.Latencies, m.LatencyCycles)
-		res.Bottlenecks = append(res.Bottlenecks, m.BottleneckCycles)
-		res.FlowCycles[m.Result.FID] += m.LatencyCycles
-	}
-	res.Stats = p.Engine().Stats()
-	return res, nil
+	return RunBatch(p, pkts, 1, nil)
 }
 
-// RunBatch is Run over batchSize-packet vectors (0 picks
-// core.DefaultBatchSize): packets are fed through ProcessBatch in
-// arrival order and measurements aggregate exactly as Run's. When pool
-// is non-nil, every packet is returned to it after its measurement is
-// folded in, so pooled trace replay recycles descriptors.
+// RunBatch feeds the trace through ProcessBatch in batchSize-packet
+// vectors (0 picks core.DefaultBatchSize), in arrival order, and
+// aggregates the measurements. When pool is non-nil, every packet is
+// returned to it after its measurement is folded in, so pooled trace
+// replay recycles descriptors.
 func RunBatch(p Platform, pkts []*packet.Packet, batchSize int, pool *packet.Pool) (*RunResult, error) {
 	if batchSize <= 0 {
 		batchSize = core.DefaultBatchSize
 	}
 	b := NewBatch(batchSize)
-	res := &RunResult{
-		FlowCycles: make(map[flow.FID]uint64),
-		model:      p.Model(),
-	}
+	res := NewRunResult(p.Model())
 	for off := 0; off < len(pkts); off += batchSize {
-		end := off + batchSize
-		if end > len(pkts) {
-			end = len(pkts)
-		}
+		end := min(off+batchSize, len(pkts))
 		ms, err := p.ProcessBatch(pkts[off:end], b)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: batch at packet %d: %w", p.Name(), off, err)
 		}
-		for i := range ms {
-			m := &ms[i]
-			res.Packets++
-			if m.Result.Verdict == core.VerdictDrop {
-				res.Drops++
-			}
-			res.WorkCycles = append(res.WorkCycles, m.WorkCycles)
-			res.Latencies = append(res.Latencies, m.LatencyCycles)
-			res.Bottlenecks = append(res.Bottlenecks, m.BottleneckCycles)
-			res.FlowCycles[m.Result.FID] += m.LatencyCycles
-		}
+		res.Fold(ms)
 		if pool != nil {
 			for _, pkt := range pkts[off:end] {
 				pool.Put(pkt)

@@ -276,8 +276,8 @@ func (t *Topology) Classes() []platform.ChainClass {
 
 // NewMultiQueue builds a fair-share multi-queue dispatcher over the
 // topology: flow-hash partitioning across workers, weighted-round-
-// robin chain scheduling within each worker, batched draining when
-// batch > 1.
+// robin chain scheduling within each worker, draining in batch-packet
+// vectors (one-packet when batch <= 1).
 func (t *Topology) NewMultiQueue(workers, batch int) (*platform.MultiQueue, error) {
 	mq, err := platform.NewMultiQueue(t.chains[0].Platform, workers)
 	if err != nil {

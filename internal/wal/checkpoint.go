@@ -53,6 +53,9 @@ type FlowEntry struct {
 const (
 	checkpointMagic   = 0x53424350 // "SBCP"
 	checkpointVersion = 1
+	// nfStateMinLen is the smallest encoded NF-state entry: a u16 name
+	// length and a u32 blob length.
+	nfStateMinLen = 6
 )
 
 // ErrBadCheckpoint reports a checkpoint blob that failed structural or
@@ -155,7 +158,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ns := int(rd.u32())
 	if rd.ok && ns > 0 {
-		c.NFState = make(map[string][]byte, ns)
+		// The count is untrusted: size the map by what the remaining
+		// bytes can hold (a name length and a blob length per entry).
+		c.NFState = make(map[string][]byte, min(ns, len(rd.b)/nfStateMinLen))
 	}
 	for i := 0; i < ns && rd.ok; i++ {
 		name := rd.str()

@@ -29,6 +29,9 @@ type MigrationRecord struct {
 const (
 	migrationMagic   = 0x53424d52 // "SBMR"
 	migrationVersion = 1
+	// migrationRecordMinLen is the smallest encoded record: the flow
+	// entry (FID, 5-tuple, state, three counters) and the rule flag.
+	migrationRecordMinLen = 4 + 4 + 4 + 2 + 2 + 1 + 1 + 3*8 + 1
 )
 
 // ErrBadMigration reports a migration blob that failed structural or
@@ -86,7 +89,9 @@ func DecodeMigration(data []byte) ([]MigrationRecord, error) {
 	}
 	rd := &byteReader{b: body, ok: true}
 	n := int(rd.u32())
-	recs := make([]MigrationRecord, 0, n)
+	// The count is untrusted: size the slice by what the remaining
+	// bytes can hold.
+	recs := make([]MigrationRecord, 0, min(n, len(rd.b)/migrationRecordMinLen))
 	for i := 0; i < n && rd.ok; i++ {
 		var r MigrationRecord
 		r.Flow.FID = flow.FID(rd.u32())

@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/fastpathnfv/speedybox/internal/flow"
@@ -273,6 +276,68 @@ func TestCheckpointCorruptionFailsLoudly(t *testing.T) {
 	if _, err := DecodeCheckpoint(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+}
+
+// frame wraps a blob body in a valid header (magic, version, reserved,
+// CRC over the body), so fuzzed or hand-built bodies reach the decoder
+// instead of failing the checksum.
+func frame(magic uint32, version uint16, body []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, magic)
+	out = appendUint16(out, version)
+	out = appendUint16(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// allocatedBy reports the bytes fn allocated on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointHugeCountRejected is the regression test for an
+// untrusted size hint: a 48-byte checkpoint with a valid header and CRC,
+// no flows, no rules and an NF-state count of 0x7fffffff once sized a
+// map straight from that count and died with a runtime out-of-memory
+// fatal. It must fail with ErrBadCheckpoint, allocating next to nothing.
+func TestCheckpointHugeCountRejected(t *testing.T) {
+	body := make([]byte, 3*8) // epoch, WAL seq, clock
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 0x7fffffff)
+	data := frame(checkpointMagic, checkpointVersion, body)
+	if len(data) != 48 {
+		t.Fatalf("repro is %d bytes, want 48", len(data))
+	}
+	var err error
+	if n := allocatedBy(func() { _, err = DecodeCheckpoint(data) }); n > 1<<20 {
+		t.Errorf("decoding allocated %d bytes", n)
+	}
+	if err == nil {
+		t.Fatal("checkpoint with an unbacked NF-state count accepted")
+	}
+}
+
+// FuzzDecodeCheckpoint fuzzes the checkpoint body behind a freshly
+// computed header, so mutations reach the decoder: it must never panic
+// or exhaust memory, and an accepted checkpoint must round-trip.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	data := sampleCheckpoint().Encode()
+	f.Add(data[12:])
+	f.Add(data[12 : len(data)-2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := DecodeCheckpoint(frame(checkpointMagic, checkpointVersion, body))
+		if err != nil {
+			return
+		}
+		if got, rerr := DecodeCheckpoint(c.Encode()); rerr != nil || !reflect.DeepEqual(got, c) {
+			t.Fatalf("accepted checkpoint does not round-trip: %v", rerr)
+		}
+	})
 }
 
 // FuzzReplayTornTail feeds arbitrary bytes to the log decoder: whatever
