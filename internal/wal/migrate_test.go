@@ -99,6 +99,9 @@ func FuzzDecodeMigration(f *testing.F) {
 	f.Add(data[12:])
 	f.Add(data[12 : len(data)-2])
 	f.Add([]byte{})
+	mut := append([]byte(nil), data[12:]...)
+	mut[2] ^= 0x20
+	f.Add(mut)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		recs, err := DecodeMigration(frame(migrationMagic, migrationVersion, body))
 		if err != nil {
